@@ -51,12 +51,6 @@ class WeierstrassCurve:
             raise ValueError("twist by zero")
         return WeierstrassCurve(self.a2 * d, self.a4 * d ** 2, self.a6 * d ** 3)
 
-    def rhs_at_fiber(self, x: Place):
-        """Residues (A2, A4, A6) of the coefficients at a finite place."""
-        from .places import reduce_at
-        return tuple(reduce_at(RationalFunction(a), x)
-                     for a in (self.a2, self.a4, self.a6))
-
     def __repr__(self):
         return (f"WeierstrassCurve(p={self.field.p}, a2={self.a2!r}, "
                 f"a4={self.a4!r}, a6={self.a6!r})")

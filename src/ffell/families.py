@@ -18,10 +18,15 @@ hypotheses (a multiplicative place on the affine line; the I_0* symbol at
 more than one affine closed point; 6B <= N), the square-class conditions
 (A)/(B)/(C) for every valid ell, and the independence of the Kodaira
 multiset from the twist parameter.
+
+Families are declared in a key = value grammar (see the README, "Family
+files"); the built-ins are the declarations in FAMILY_DECLARATIONS, parsed
+by the same function that reads user family files.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,27 +54,6 @@ def _pmul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return tuple(out)
-
-
-def _padd(a, b):
-    a, b = _pstrip(a), _pstrip(b)
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _pstrip(out)
-
-
-def _pscale(a, s):
-    return tuple(Fraction(s) * x for x in _pstrip(a))
-
-
-def _expand(*factors):
-    out = (Fraction(1),)
-    for q in factors:
-        out = _pmul(out, _pstrip(q))
-    return out
 
 
 def _peval(a, x):
@@ -109,60 +93,69 @@ def _qr(a, ell) -> bool:
     return pow(a % ell, (ell - 1) // 2, ell) == 1
 
 
-_T = (Fraction(0), Fraction(1))
-
-
-def _lin(c):  # t - c
-    return (Fraction(-c), Fraction(1))
+def _loc_key(F: PrimeField, loc):
+    """A declared location ("inf" or a rational t-value) reduced mod p."""
+    return "inf" if loc == "inf" else _fp_scalar(F, loc)
 
 
 # ---------------------------------------------------------------------------
 # family data
 
 @dataclass
-class ExpectedProfile:
-    N: object                     # callable n -> int
-    chi: object                   # callable n -> int, or None if unstated
-    gamma: object                 # callable n -> int
-    script_L: int
-    B: int
-    # callable n -> [(location, {symbols}, c-set or None)]; location is a
-    # Fraction or "inf"; the twist place and the f-roots are implicit I_0*
-    special: object
-    c_at_I0star: object = None    # allowed Tamagawa values at I_0* places
-    c_E_power_of: int = 0         # require c_E a power of this (0 = no claim)
-
-
-@dataclass
 class Family:
+    """A twist family as parsed from its declaration.
+
+    `h` and `profile` hold one entry per parity of n (index n % 2).  A
+    profile maps declared keys to parsed values: linear forms (a, b),
+    meaning a n + b, for N/chi/gamma/script_L/B; "places", a list of
+    (location, Kodaira symbols, Tamagawa set or None); "c_I0star";
+    "c_E_power_of"; "equal_c", a pair of locations.  Only what is declared
+    is checked."""
     fid: str
     condition: str                # "A", "B" or "C"
     nmin: int
     nmax: object                  # int or None
     exclude: int                  # primes dividing this are always excluded
-    h_pair: object                # callable n -> (alpha coeffs, beta coeffs)
-    f_values: object              # callable n -> list of Fractions
+    h: tuple                      # per parity: (alpha coeffs, beta coeffs)
+    g: object                     # optional second rational map for f
+    f: object                     # ("h"|"g"|"lit", shift, lo, hi) or None
     abase: tuple                  # (a2, a4, a6) Fraction coefficient tuples
-    expected: ExpectedProfile = None
-    eps_law: str = None           # None, "one", "intro", "legendre_minus_one"
-                                  # or "case1"
-    valid_ell: object = lambda ell: True
-    waive_hypotheses: bool = False
-    # extra congruence restriction on the prime grid (callable p -> bool),
-    # used when the root number is -1 for every w at the excluded primes
-    prime_filter: object = None
-    # True when the root number genuinely varies with w, so the criterion
-    # condition is only attainable on the eps = 1 subgrid
-    eps_varies: bool = False
+    profile: tuple                # per parity: declared key -> parsed value
+    # root-number law (sign, ((atoms, raised to the n-th power), ...)): the
+    # sign times the Legendre symbols of products of atoms; None = no law
+    eps: object
+    ell_squares: tuple            # valid ell: these are squares mod ell
+    ell_nonsquares: tuple         # ... and these are not
+    waive_hypotheses: bool
 
     def _check_n(self, n):
         if n < self.nmin or (self.nmax is not None and n > self.nmax):
             raise ValueError(f"{self.fid}: parameter n={n} out of range")
 
+    def h_pair(self, n):
+        return self.h[n % 2]
+
+    def f_values(self, n):
+        """The roots v_i of f for the parameter n."""
+        if self.f is None:
+            return []
+        which, shift, (a, b), (c, d) = self.f
+        idx = range(a * n + b + shift, c * n + d + shift + 1)
+        if which == "lit":
+            return [Fraction(i) for i in idx]
+        val = _h_of(self.h_pair(n) if which == "h" else self.g)
+        return [val(i) for i in idx]
+
+    def valid_ell(self, ell) -> bool:
+        return (all(_qr(a, ell) for a in self.ell_squares)
+                and not any(_qr(a, ell) for a in self.ell_nonsquares))
+
     def base_coeffs(self, n):
         """(a2 f, a4 f^2, a6 f^3) as exact Q-coefficient tuples."""
         self._check_n(n)
-        f = _expand(*[_lin(v) for v in self.f_values(n)])
+        f = (Fraction(1),)
+        for v in self.f_values(n):
+            f = _pmul(f, (-v, 1))
         a2, a4, a6 = self.abase
         return (_pmul(a2, f), _pmul(a4, _pmul(f, f)),
                 _pmul(a6, _pmul(f, _pmul(f, f))))
@@ -182,8 +175,7 @@ class Family:
         try:
             vals = [_fp_scalar(F, v) for v in self.f_values(n)]
             specials = [_fp_scalar(F, loc) for loc, _, _
-                        in (self.expected.special(n) if self.expected else [])
-                        if loc != "inf"]
+                        in self.profile[n % 2]["places"] if loc != "inf"]
             num, den = self.h_pair(n)
             den_p = _fp_poly(F, den)
             E = self.base_curve(p, n)
@@ -228,311 +220,400 @@ class Family:
         hw = self.h_mod_p(p, n, w)
         return self.base_curve(p, n).twist_by(Poly.t(F) - hw)
 
+    def eps_value(self, F: PrimeField, n: int, hw=None):
+        """The root number the law predicts at a cell with h(w) = hw mod p
+        (a law free of h needs no hw), or None when no law is stated."""
+        if self.eps is None:
+            return None
+        law, factors = self.eps
+        for atoms, to_n in factors:
+            x = F(1)
+            for kind, a in atoms:
+                if kind == "c":
+                    x = x * F(a)
+                elif kind == "h":
+                    x = x * F(hw)
+                elif kind == "a-h":
+                    x = x * (F(a) - hw)
+                else:                                   # f(a)
+                    for v in self.f_values(n):
+                        x = x * (F(a) - _fp_scalar(F, v))
+            law *= legendre(x) ** n if to_n else legendre(x)
+        return law
 
-def _build_families():
-    fams = {}
+    def _law_mentions_h(self) -> bool:
+        return self.eps is not None and any(
+            kind in ("h", "a-h") for atoms, _ in self.eps[1]
+            for kind, _ in atoms)
 
-    def add(f):
-        fams[f.fid] = f
+    def eps_varies(self) -> bool:
+        """Whether conditions (B)/(C), which demand eps = 1, meet a law that
+        varies with w, so they hold only on part of the w-grid."""
+        return self.condition != "A" and self._law_mentions_h()
 
-    u2m1 = (Fraction(-1), Fraction(0), Fraction(1))   # u^2 - 1
-
-    # ---- conductor degree 5 ----------------------------------------------
-    # y^2 = x^3 + 3(t^2-1)^3 x - 2(t^2-1)^5, twisted by t - h(w) with
-    # h = (-u^2+3)/(u^2+3).  The valid-ell list is restricted to ell with 2
-    # a square: 2 c_E runs through {16, 32, 64} depending on the member, and
-    # only the 16/64 cells satisfy condition (A) for general ell (the
-    # dichotomy itself is checked separately).
-    add(Family(
-        fid="intro_N5", condition="A", nmin=0, nmax=0, exclude=6,
-        h_pair=lambda n: ((Fraction(3), Fraction(0), Fraction(-1)),
-                          (Fraction(3), Fraction(0), Fraction(1))),
-        f_values=lambda n: [],
-        abase=((), _pscale(_expand(u2m1, u2m1, u2m1), 3),
-               _pscale(_expand(u2m1, u2m1, u2m1, u2m1, u2m1), -2)),
-        expected=ExpectedProfile(
-            N=lambda n: 5, chi=lambda n: 3, gamma=lambda n: 1,
-            script_L=1, B=2,
-            special=lambda n: [
-                (Fraction(0), {"I2"}, {2}),
-                (Fraction(1), {"III*"}, {2}),
-                (Fraction(-1), {"III*"}, {2}),
-                ("inf", {"II*"}, {1})],
-            c_at_I0star={1, 2, 4}),
-        eps_law="intro", waive_hypotheses=True,
-        valid_ell=lambda ell: _qr(2, ell)))
-
-    # ---- N odd ------------------------------------------------------------
-    add(Family(
-        fid="odd_1mod8", condition="A", nmin=1, nmax=None, exclude=6,
-        h_pair=lambda n: ((Fraction(0), Fraction(1)), (Fraction(1),)),
-        f_values=lambda n: [Fraction(i + 1) for i in range(1, 4 * n + 1)],
-        abase=(_pscale(_padd(_T, (Fraction(1),)), -1), _T, ()),
-        expected=ExpectedProfile(
-            N=lambda n: 8 * n + 1, chi=lambda n: 2 * n + 1,
-            gamma=lambda n: 1, script_L=1, B=0,
-            special=lambda n: [
-                (Fraction(0), {"I2"}, {2}),
-                (Fraction(1), {"I2"}, {2}),
-                ("inf", {"I2"}, {2})],
-            c_at_I0star={4})))
-
-    h3 = ((Fraction(0), Fraction(0), Fraction(3)),
-          (Fraction(1), Fraction(0), Fraction(3)))
-    add(Family(
-        fid="odd_3mod8", condition="A", nmin=1, nmax=None, exclude=6,
-        h_pair=lambda n: h3,
-        f_values=lambda n: [_h_of(h3)(i) for i in range(1, 4 * n + 1)],
-        abase=((), _pscale(_T, -3), _pscale(_pmul(_T, _T), 2)),
-        expected=ExpectedProfile(
-            N=lambda n: 8 * n + 3, chi=lambda n: 2 * n + 1,
-            gamma=lambda n: 1, script_L=1, B=1,
-            special=lambda n: [
-                ("inf", {"II"}, {1}),
-                (Fraction(0), {"III"}, {2}),
-                (Fraction(1), {"I1"}, {1})],
-            c_at_I0star={1, 4})))
-
-    h5 = ((Fraction(3), Fraction(0), Fraction(-1)),
-          (Fraction(3), Fraction(0), Fraction(1)))
-    add(Family(
-        fid="odd_5mod8", condition="A", nmin=1, nmax=None, exclude=6,
-        h_pair=lambda n: h5,
-        f_values=lambda n: [_h_of(h5)(i) for i in range(1, 4 * n + 1)],
-        abase=((), _pscale(_expand(u2m1, u2m1, u2m1), 3),
-               _pscale(_expand(u2m1, u2m1, u2m1, u2m1, u2m1), -2)),
-        expected=ExpectedProfile(
-            N=lambda n: 8 * n + 5, chi=lambda n: 2 * n + 3,
-            gamma=lambda n: 1, script_L=1, B=2,
-            special=lambda n: [
-                ("inf", {"II*"}, {1}),
-                (Fraction(0), {"I2"}, {2}),
-                (Fraction(1), {"III*"}, {2}),
-                (Fraction(-1), {"III*"}, {2})],
-            c_at_I0star={1, 4})))
-
-    add(Family(
-        fid="odd_7mod8", condition="A", nmin=0, nmax=None, exclude=6,
-        h_pair=lambda n: ((Fraction(0), Fraction(1)), (Fraction(1),)),
-        f_values=lambda n: [Fraction(i + 1) for i in range(1, 4 * n + 3)],
-        abase=(_pmul(_T, _padd(_T, (Fraction(1),))),
-               _pmul(_T, _pmul(_T, _T)), ()),
-        expected=ExpectedProfile(
-            N=lambda n: 8 * n + 7, chi=lambda n: 2 * n + 3,
-            gamma=lambda n: 1, script_L=1, B=1,
-            special=lambda n: [
-                ("inf", {"I2*"}, {4}),
-                (Fraction(0), {"I2*"}, {4}),
-                (Fraction(1), {"I2"}, {2})],
-            c_at_I0star={4})))
-
-    # ---- N even, trivial square class of the discriminant ----------------
-    h0 = ((Fraction(0), Fraction(0), Fraction(4)),
-          (Fraction(1), Fraction(0), Fraction(2), Fraction(0), Fraction(1)))
-    add(Family(
-        fid="even_0mod8", condition="C", nmin=1, nmax=None, exclude=6,
-        h_pair=lambda n: h0,
-        f_values=lambda n: [_h_of(h0)(i + 1) for i in range(1, 4 * n)],
-        abase=((), _pscale(_expand(_lin(1), _lin(1), _lin(1), _lin(4)), -3),
-               _pscale(_expand(_lin(1), _lin(1), _lin(1), _lin(1), _lin(1),
-                               _lin(-8)), -2)),
-        expected=ExpectedProfile(
-            N=lambda n: 8 * n, chi=lambda n: 2 * n + 1,
-            gamma=lambda n: 1, script_L=1, B=1,
-            special=lambda n: [
-                ("inf", {"I1"}, {1}),
-                (Fraction(0), {"I2"}, {2}),
-                (Fraction(1), {"III*"}, {2})],
-            c_at_I0star={4}, c_E_power_of=4),
-        eps_law="one"))
-
-    h2 = ((Fraction(-1), Fraction(0), Fraction(2), Fraction(0), Fraction(-1)),
-          (Fraction(0), Fraction(0), Fraction(4)))
-    add(Family(
-        fid="even_2mod8", condition="C", nmin=1, nmax=None, exclude=6,
-        h_pair=lambda n: h2,
-        f_values=lambda n: [_h_of(h2)(i + 1) for i in range(1, 4 * n + 1)],
-        abase=((), _pscale(_expand(_lin(1), _lin(4)), -3),
-               _pscale(_expand(_lin(1), _lin(1), _lin(-8)), -2)),
-        expected=ExpectedProfile(
-            N=lambda n: 8 * n + 2, chi=lambda n: 2 * n + 1,
-            gamma=lambda n: 1, script_L=1, B=1,
-            special=lambda n: [
-                ("inf", {"I1"}, {1}),
-                (Fraction(0), {"I2"}, {2}),
-                (Fraction(1), {"III"}, {2})],
-            c_at_I0star={4}, c_E_power_of=4),
-        eps_law="one"))
-
-    h4 = ((Fraction(0), Fraction(0), Fraction(-3)), (Fraction(1),))
-    add(Family(
-        fid="even_4mod8", condition="C", nmin=1, nmax=None, exclude=6,
-        h_pair=lambda n: h4,
-        f_values=lambda n: [_h_of(h4)(i) for i in range(1, 4 * n + 1)],
-        abase=((), _pscale(_expand(_lin(1), _lin(9)), -3),
-               _pscale(_expand(_lin(1), _lin(3), _lin(9)), -2)),
-        expected=ExpectedProfile(
-            N=lambda n: 8 * n + 4, chi=lambda n: 2 * n + 1,
-            gamma=lambda n: 1, script_L=1, B=2,
-            special=lambda n: [
-                ("inf", {"I1"}, {1}),
-                (Fraction(0), {"I1"}, {1}),
-                (Fraction(1), {"II"}, {1}),
-                (Fraction(9), {"II"}, {1})],
-            c_at_I0star={1, 4}),
-        eps_law="one"))
-
-    # The two multiplicative places at t = 1 and t = -1 contribute split
-    # predicates -3(1-h)f(1) and 3(-1-h)f(-1) whose product has square class
-    # -9 (1-h^2) f(1) f(-1) ~ -1, and the I0* places number 4n+2, so the
-    # root number works out to the Legendre symbol (-1/p) for every w.
-    # Condition (C) therefore requires p = 1 (mod 4); the law itself is
-    # checked at every valid prime.
-    h6 = ((Fraction(1), Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)))
-    add(Family(
-        fid="even_6mod8", condition="C", nmin=0, nmax=None, exclude=6,
-        h_pair=lambda n: h6,
-        f_values=lambda n: [_h_of(h6)(i + 1) for i in range(1, 4 * n + 2)],
-        abase=((),
-               _pscale(_pmul(_pmul(_T, _T),
-                             (Fraction(1), Fraction(0), Fraction(-1),
-                              Fraction(0), Fraction(1))), -3),
-               _pmul(_pmul(_T, _pmul(_T, _T)),
-                     (Fraction(2), Fraction(0), Fraction(-3), Fraction(0),
-                      Fraction(-3), Fraction(0), Fraction(2)))),
-        expected=ExpectedProfile(
-            N=lambda n: 8 * n + 6, chi=lambda n: 2 * n + 3,
-            gamma=lambda n: 1, script_L=1, B=1,
-            special=lambda n: [
-                (Fraction(1), {"I2"}, {2}),
-                (Fraction(-1), {"I2"}, {2}),
-                (Fraction(0), {"I4*"}, {2, 4}),
-                ("inf", {"I4*"}, {2, 4})],
-            c_at_I0star={4}, c_E_power_of=4),
-        eps_law="legendre_minus_one",
-        prime_filter=lambda p: p % 4 == 1))
-
-    # ---- N even, nontrivial square class ---------------------------------
-    # The multiplicative places sit at t = 0 (I4, split iff 3 h(w) f(0) is a
-    # square) and t = 2 (I2, split iff -6 (2-h(w)) f(2) is a square), so the
-    # root number is (3 h f(0) / p)(-6 (2-h) f(2) / p)(-1/p)^n; the factor
-    # (4w^2+1 / p) hidden in h(2-h) makes it vary with w, and condition (B)
-    # is only attainable on the eps = 1 part of the w-grid.
-    g7 = ((Fraction(1),), (Fraction(1), Fraction(0), Fraction(1)))
-    h_case12 = ((Fraction(1),), (Fraction(1), Fraction(0), Fraction(2)))
-    add(Family(
-        fid="case1_2ns", condition="B", nmin=2, nmax=None, exclude=6,
-        h_pair=lambda n: h_case12,
-        f_values=lambda n: [_h_of(g7)(i) for i in range(1, n)],
-        abase=((), _pscale(_expand(_lin(1), _lin(4),
-                                   (Fraction(-4), Fraction(3))), 3),
-               _pscale(_expand(_lin(1), _lin(1),
-                               (Fraction(32), Fraction(-32), Fraction(9))),
-                       -4)),
-        expected=ExpectedProfile(
-            N=lambda n: 2 * n + 2, chi=None, gamma=lambda n: 2,
-            script_L=1, B=1,
-            special=lambda n: [
-                ("inf", {"III", "III*"}, {2}),
-                (Fraction(1), {"III"}, {2}),
-                (Fraction(0), {"I4"}, {2, 4}),
-                (Fraction(2), {"I2"}, {2})],
-            c_at_I0star={1, 2, 4}),
-        eps_law="case1", eps_varies=True,
-        valid_ell=lambda ell: not _qr(2, ell)))
-
-    add(Family(
-        fid="case2_3ns", condition="B", nmin=2, nmax=None, exclude=42,
-        h_pair=lambda n: h_case12,
-        f_values=lambda n: [_h_of(g7)(i) for i in range(1, n)],
-        abase=((),
-               _pscale(_expand((Fraction(-1), Fraction(28)),
-                               (Fraction(-16), Fraction(112), Fraction(147))),
-                       -3),
-               _pscale(_expand((Fraction(-1), Fraction(28)),
-                               (Fraction(-64), Fraction(1568),
-                                Fraction(-3430), Fraction(21609))), -2)),
-        expected=ExpectedProfile(
-            N=lambda n: 2 * n + 2, chi=None, gamma=lambda n: 6,
-            script_L=1, B=1,
-            special=lambda n: [
-                ("inf", {"III", "III*"}, {2}),
-                (Fraction(1, 28), {"II"}, {1}),
-                (Fraction(0), {"I4"}, {2, 4}),
-                (Fraction(1), {"I3"}, {1, 3})],
-            c_at_I0star={1, 2, 4}),
-        eps_law="one",
-        valid_ell=lambda ell: not _qr(3, ell) and _qr(2, ell)))
-
-    def h_case3(n):
-        c = 15 if n % 2 == 0 else 5
-        return ((Fraction(-c),), (Fraction(-c), Fraction(0), Fraction(1)))
-
-    add(Family(
-        fid="case3_5ns", condition="B", nmin=2, nmax=None, exclude=30,
-        h_pair=h_case3,
-        f_values=lambda n: [_h_of(g7)(i) for i in range(1, n)],
-        abase=((),
-               _pscale((Fraction(-256), Fraction(96), Fraction(135)), 3),
-               _pscale((Fraction(4096), Fraction(-2304), Fraction(-3024),
-                        Fraction(621), Fraction(486)), -2)),
-        expected=ExpectedProfile(
-            N=lambda n: 2 * n + 2, chi=None,
-            gamma=lambda n: 15 if n % 2 == 0 else 5,
-            script_L=5, B=1,
-            special=lambda n: [
-                ("inf", {"IV"} if n % 2 == 0 else {"II*"}, None),
-                (Fraction(0), {"I5"}, {1, 5}),
-                (Fraction(1), {"I1"}, {1}),
-                (Fraction(-16, 9), {"II"}, {1})],
-            c_at_I0star={1, 2, 4}),
-        eps_law="one",
-        valid_ell=lambda ell: (not _qr(5, ell) and _qr(2, ell)
-                               and _qr(3, ell))))
-
-    # At infinity the twisted model has (v(c4), v(c6), v(Delta)) = (3, 4, 8)
-    # for even n (symbol IV*, gamma factor 3) and (1, 1, 2) for odd n
-    # (symbol II, gamma factor 1), forced by the coefficient degrees alone.
-    # The twist map 189/4 (u^2-42)^{-1} must go with even n and
-    # 63/4 (u^2-14)^{-1} with odd n: that pairing makes the root number 1
-    # at every cell, while the opposite pairing leaves a stray (3/p).
-    def h_case4(n):
-        c = 42 if n % 2 == 0 else 14
-        return ((Fraction(9 * c, 2),),
-                (Fraction(-4 * c), Fraction(0), Fraction(4)))
-
-    g4 = ((Fraction(-9, 8),), (Fraction(1), Fraction(0), Fraction(1)))
-    t94 = (Fraction(4), Fraction(9))
-    add(Family(
-        fid="case4_7ns", condition="B", nmin=2, nmax=None, exclude=42,
-        h_pair=h_case4,
-        f_values=lambda n: [_h_of(g4)(i) for i in range(1, n)],
-        abase=((),
-               _pscale(_expand(t94, t94,
-                               (Fraction(9), Fraction(36), Fraction(42),
-                                Fraction(14))), -12),
-               _pscale(_expand(t94, t94, t94,
-                               (Fraction(18), Fraction(108), Fraction(234),
-                                Fraction(222), Fraction(87), Fraction(8))),
-                       -24)),
-        expected=ExpectedProfile(
-            N=lambda n: 2 * n + 2, chi=None,
-            gamma=lambda n: 42 if n % 2 == 0 else 14,
-            script_L=7, B=1,
-            special=lambda n: [
-                ("inf", {"IV*"} if n % 2 == 0 else {"II"}, None),
-                (Fraction(-4, 9), {"I1*"}, {2, 4}),
-                (Fraction(0), {"I7"}, {1, 7}),
-                (Fraction(-9, 8), {"I2"}, {2})],
-            c_at_I0star={1, 2, 4}),
-        eps_law="one",
-        valid_ell=lambda ell: (not _qr(7, ell) and _qr(2, ell)
-                               and _qr(3, ell) and _qr(5, ell))))
-
-    return fams
+    def eps_minus_one_at(self, p: int, n: int) -> bool:
+        """Whether conditions (B)/(C) meet a law free of h that is -1 at p,
+        so that no w at p can attain them."""
+        return (self.condition != "A" and not self._law_mentions_h()
+                and self.eps_value(PrimeField(p), n) == -1)
 
 
-FAMILIES = _build_families()
+# ---------------------------------------------------------------------------
+# the declaration grammar
+
+_KEYS = {"condition", "nmin", "nmax", "exclude", "h", "g", "f", "a2", "a4",
+         "a6", "N", "chi", "gamma", "script_L", "B", "place", "c_I0star",
+         "c_E_power_of", "equal_c", "waive", "eps", "ell_squares",
+         "ell_nonsquares"}
+_PARITY_KEYS = {"h", "gamma", "place"}          # may take [even] / [odd]
+_LINEAR_KEYS = ("N", "chi", "gamma", "script_L", "B")
+_KEY = re.compile(r"(\w+)(?:\s+(\S+?))?(?:\[(even|odd)\])?")
+_SYMBOL = re.compile(r"(I\d+|II|III|IV)\*?")
+_LINEAR = re.compile(r"([+-]?\d*)n([+-]\d+)?|([+-]?\d+)")
+_FACTOR = r"\(((?:[^()]|\([^()]*\))*)\)(\^n)?"
+_ATOM = re.compile(r"(-?\d+)|(h)|f\((-?\d+)\)|\((-?\d+)-h\)")
+
+
+def _parse_coeffs(s):
+    s = s.strip()
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ValueError(f"expected [c0,c1,...], got {s!r}")
+    body = s[1:-1].strip()
+    if not body:
+        return ()
+    return tuple(Fraction(x.strip()) for x in body.split(","))
+
+
+def _parse_pair(s):
+    """'[num] / [den]' (or '[num]') as coefficient tuples."""
+    m = re.fullmatch(r"(\[[^]]*\])\s*(?:/\s*(\[[^]]*\]))?", s.strip())
+    if m is None:
+        raise ValueError(f"expected [num] / [den], got {s!r}")
+    return _parse_coeffs(m[1]), _parse_coeffs(m[2] or "[1]")
+
+
+def _linear(s):
+    """A linear form in n like '8n+5', 'n-1' or '3', as (a, b)."""
+    m = _LINEAR.fullmatch(s.replace(" ", ""))
+    if m is None:
+        raise ValueError(f"expected a linear form in n, got {s!r}")
+    a, b, const = m.groups()
+    if const is not None:
+        return 0, int(const)
+    return int(a + "1" if a in ("", "+", "-") else a), int(b or 0)
+
+
+def _parse_f(s, g):
+    head, _, rng = s.partition(":")
+    m = re.fullmatch(r"(h|g|lit)\(i(\+\d+)?\)", head.replace(" ", ""))
+    lo, _, hi = rng.partition("..")
+    if m is None or not hi:
+        raise ValueError(f"bad f specification {s!r}")
+    if m[1] == "g" and g is None:
+        raise ValueError("f uses g(i) but no g= was given")
+    return m[1], int(m[2] or 0), _linear(lo), _linear(hi)
+
+
+def _parse_loc(s):
+    return "inf" if s == "inf" else Fraction(s)
+
+
+def _parse_sets(s):
+    """'{a, b} {c}' as [['a', 'b'], ['c']]."""
+    if not re.fullmatch(r"(\s*\{[^{}]*\})+\s*", s):
+        raise ValueError(f"expected sets like {{a, b}}, got {s!r}")
+    return [[x.strip() for x in body.split(",") if x.strip()]
+            for body in re.findall(r"\{([^{}]*)\}", s)]
+
+
+def _parse_place(loc, s):
+    sets = _parse_sets(s)
+    if len(sets) > 2 or not all(_SYMBOL.fullmatch(x) for x in sets[0]):
+        raise ValueError(f"place {loc}: expected {{Kodaira symbols}} and an "
+                         f"optional {{Tamagawa values}}, got {s!r}")
+    c_set = frozenset(int(c) for c in sets[1]) if len(sets) == 2 else None
+    return _parse_loc(loc), frozenset(sets[0]), c_set
+
+
+def _parse_eps(s):
+    """An optional '-' and Legendre symbols '(x)' or '(x)^n', where x is a
+    product of space-separated atoms: integers, h, f(a) and (a-h)."""
+    body = s.strip()
+    sign = -1 if body.startswith("-") else 1
+    body = body[1:] if sign < 0 else body
+    if not re.fullmatch(rf"(\s*{_FACTOR})+\s*", body):
+        raise ValueError(f"bad eps law {s!r}")
+    factors = []
+    for inner, to_n in re.findall(_FACTOR, body):
+        atoms = []
+        for tok in inner.split():
+            m = _ATOM.fullmatch(tok)
+            if m is None:
+                raise ValueError(f"bad factor {tok!r} in eps law {s!r}")
+            atoms.append(("c", int(m[1])) if m[1] else ("h", None) if m[2]
+                         else ("f", int(m[3])) if m[3] else ("a-h", int(m[4])))
+        factors.append((tuple(atoms), bool(to_n)))
+    return sign, tuple(factors)
+
+
+def _parse_profile(kv):
+    prof = {k: _linear(kv[k]) for k in _LINEAR_KEYS if k in kv}
+    prof["places"] = [_parse_place(k.split()[1], v) for k, v in kv.items()
+                      if k.startswith("place ")]
+    if "c_I0star" in kv:
+        sets = _parse_sets(kv["c_I0star"])
+        if len(sets) != 1:
+            raise ValueError(f"c_I0star: expected one set, got {sets}")
+        prof["c_I0star"] = frozenset(int(c) for c in sets[0])
+    if "c_E_power_of" in kv:
+        prof["c_E_power_of"] = int(kv["c_E_power_of"])
+        if prof["c_E_power_of"] < 2:
+            raise ValueError("c_E_power_of must be at least 2")
+    if "equal_c" in kv:
+        prof["equal_c"] = tuple(_parse_loc(x.strip())
+                                for x in kv["equal_c"].split(","))
+        if len(prof["equal_c"]) != 2:
+            raise ValueError("equal_c takes two locations")
+    return prof
+
+
+def _family(fid, items):
+    # resolve [even] / [odd] variants: one key -> value dict per parity
+    kvs = ({}, {})
+    for (key, parity), value in items.items():
+        for kv, par in zip(kvs, ("even", "odd")):
+            if parity in (None, par):
+                if key in kv:
+                    raise ValueError(f"{fid}: {key!r} given both for all n "
+                                     f"and for {par} n")
+                kv[key] = value
+    for req in ("condition", "h", "a2", "a4", "a6"):
+        if not all(req in kv for kv in kvs):
+            raise ValueError(f"family {fid!r} is missing key {req!r}")
+    kv = kvs[0]                     # keys without variants are in both
+    cond = kv["condition"].upper()
+    if cond not in ("A", "B", "C"):
+        raise ValueError(f"unknown condition {cond!r}")
+    if kv.get("waive", "no") not in ("yes", "no"):
+        raise ValueError(f"waive must be yes or no, got {kv['waive']!r}")
+    g = _parse_pair(kv["g"]) if "g" in kv else None
+    # conditions (B)/(C) demand eps = 1, which is their law unless stated
+    eps = (_parse_eps(kv["eps"]) if "eps" in kv
+           else None if cond == "A" else (1, ()))
+
+    def ints(key):
+        return tuple(int(x) for x in kv.get(key, "").split(",") if x.strip())
+
+    return Family(
+        fid=fid, condition=cond, nmin=int(kv.get("nmin", 0)),
+        nmax=int(kv["nmax"]) if "nmax" in kv else None,
+        exclude=int(kv.get("exclude", 6)),
+        h=tuple(_parse_pair(d["h"]) for d in kvs), g=g,
+        f=_parse_f(kv["f"], g) if "f" in kv else None,
+        abase=tuple(_parse_coeffs(kv[k]) for k in ("a2", "a4", "a6")),
+        profile=tuple(_parse_profile(d) for d in kvs), eps=eps,
+        ell_squares=ints("ell_squares"),
+        ell_nonsquares=ints("ell_nonsquares"),
+        waive_hypotheses=kv.get("waive") == "yes")
+
+
+def parse_families(text: str) -> dict:
+    """Parse family declarations into {id: Family}.
+
+    A declaration is a run of `key = value` items opened by `id = ...`;
+    items are separated by newlines or ';', and '#' starts a comment.  The
+    keys are listed in the README ("Family files")."""
+    blocks, items = {}, None
+    for line in text.splitlines():
+        for item in line.split("#", 1)[0].split(";"):
+            if not item.strip():
+                continue
+            key, sep, value = (s.strip() for s in item.partition("="))
+            if not sep:
+                raise ValueError(f"bad line in family file: {item.strip()!r}")
+            if key == "id":
+                if value in blocks:
+                    raise ValueError(f"family {value!r} declared twice")
+                items = blocks[value] = {}
+                continue
+            m = _KEY.fullmatch(key)     # name, location, parity
+            # only `place` takes a location, and it needs one
+            if (m is None or m[1] not in _KEYS
+                    or (m[2] is None) == (m[1] == "place")
+                    or (m[3] and m[1] not in _PARITY_KEYS)):
+                raise ValueError(f"unknown key {key!r}")
+            if items is None:
+                raise ValueError("a family declaration starts with 'id = '")
+            name = m[1] if m[2] is None else f"{m[1]} {m[2]}"
+            if (name, m[3]) in items:
+                raise ValueError(f"duplicate key {key!r}")
+            items[name, m[3]] = value
+    try:
+        return {fid: _family(fid, items) for fid, items in blocks.items()}
+    except ZeroDivisionError as exc:           # a rational like 1/0
+        raise ValueError(f"zero denominator: {exc}") from None
+
+
+def load_family_file(path) -> Family:
+    """Load the one family declared in a text file (the grammar of
+    FAMILY_DECLARATIONS)."""
+    with open(path) as fh:
+        fams = parse_families(fh.read())
+    if len(fams) != 1:
+        raise ValueError(f"a family file declares one family, not "
+                         f"{len(fams)}")
+    return next(iter(fams.values()))
+
+
+# ---------------------------------------------------------------------------
+# the built-in families
+#
+# a2/a4/a6 are the base coefficients before the factors f, f^2, f^3; the
+# twist place and the roots of f carry I0* with c in c_I0star; every other
+# special place is listed with its symbols and Tamagawa values.
+
+FAMILY_DECLARATIONS = """
+# ---- conductor degree 5 ----------------------------------------------------
+# y^2 = x^3 + 3(t^2-1)^3 x - 2(t^2-1)^5.  Only ell with 2 a square are
+# valid: 2 c_E runs through {16, 32, 64} depending on the member, and only
+# the 16/64 cells satisfy condition (A) for general ell (the dichotomy itself
+# is checked separately).
+id = intro_N5;  condition = A;  nmax = 0;  waive = yes
+h = [3, 0, -1] / [3, 0, 1]
+a2 = [];  a4 = [-3, 0, 9, 0, -9, 0, 3]
+a6 = [2, 0, -10, 0, 20, 0, -20, 0, 10, 0, -2]
+N = 5;  chi = 3;  gamma = 1;  script_L = 1;  B = 2
+place 0 = {I2} {2};  place 1 = {III*} {2};  place -1 = {III*} {2}
+place inf = {II*} {1}
+c_I0star = {1, 2, 4};  eps = -(-3 h);  ell_squares = 2
+
+# ---- N odd -----------------------------------------------------------------
+id = odd_1mod8;  condition = A;  nmin = 1
+h = [0, 1] / [1];  f = lit(i+1) : 1 .. 4n
+a2 = [-1, -1];  a4 = [0, 1];  a6 = []              # a2 = -(t + 1), a4 = t
+N = 8n+1;  chi = 2n+1;  gamma = 1;  script_L = 1;  B = 0
+place 0 = {I2} {2};  place 1 = {I2} {2};  place inf = {I2} {2}
+c_I0star = {4}
+
+id = odd_3mod8;  condition = A;  nmin = 1
+h = [0, 0, 3] / [1, 0, 3];  f = h(i) : 1 .. 4n
+a2 = [];  a4 = [0, -3];  a6 = [0, 0, 2]
+N = 8n+3;  chi = 2n+1;  gamma = 1;  script_L = 1;  B = 1
+place inf = {II} {1};  place 0 = {III} {2};  place 1 = {I1} {1}
+c_I0star = {1, 4}
+
+id = odd_5mod8;  condition = A;  nmin = 1     # the intro model, f != 1
+h = [3, 0, -1] / [3, 0, 1];  f = h(i) : 1 .. 4n
+a2 = [];  a4 = [-3, 0, 9, 0, -9, 0, 3]
+a6 = [2, 0, -10, 0, 20, 0, -20, 0, 10, 0, -2]
+N = 8n+5;  chi = 2n+3;  gamma = 1;  script_L = 1;  B = 2
+place inf = {II*} {1};  place 0 = {I2} {2};  place 1 = {III*} {2}
+place -1 = {III*} {2}
+c_I0star = {1, 4}
+
+id = odd_7mod8;  condition = A
+h = [0, 1] / [1];  f = lit(i+1) : 1 .. 4n+2
+a2 = [0, 1, 1];  a4 = [0, 0, 0, 1];  a6 = []       # a2 = t(t + 1), a4 = t^3
+N = 8n+7;  chi = 2n+3;  gamma = 1;  script_L = 1;  B = 1
+place inf = {I2*} {4};  place 0 = {I2*} {4};  place 1 = {I2} {2}
+c_I0star = {4}
+
+# ---- N even, trivial square class of the discriminant ----------------------
+id = even_0mod8;  condition = C;  nmin = 1
+h = [0, 0, 4] / [1, 0, 2, 0, 1];  f = h(i+1) : 1 .. 4n-1
+a2 = [];  a4 = [-12, 39, -45, 21, -3]                # -3 (t-1)^3 (t-4)
+a6 = [16, -78, 150, -140, 60, -6, -2]                # -2 (t-1)^5 (t+8)
+N = 8n;  chi = 2n+1;  gamma = 1;  script_L = 1;  B = 1
+place inf = {I1} {1};  place 0 = {I2} {2};  place 1 = {III*} {2}
+c_I0star = {4};  c_E_power_of = 4
+
+# a4 = -3 (t-1)(t-4), a6 = -2 (t-1)^2 (t+8)
+id = even_2mod8;  condition = C;  nmin = 1
+h = [-1, 0, 2, 0, -1] / [0, 0, 4];  f = h(i+1) : 1 .. 4n
+a2 = [];  a4 = [-12, 15, -3];  a6 = [-16, 30, -12, -2]
+N = 8n+2;  chi = 2n+1;  gamma = 1;  script_L = 1;  B = 1
+place inf = {I1} {1};  place 0 = {I2} {2};  place 1 = {III} {2}
+c_I0star = {4};  c_E_power_of = 4
+
+# a4 = -3 (t-1)(t-9), a6 = -2 (t-1)(t-3)(t-9)
+id = even_4mod8;  condition = C;  nmin = 1
+h = [0, 0, -3] / [1];  f = h(i) : 1 .. 4n
+a2 = [];  a4 = [-27, 30, -3];  a6 = [54, -78, 26, -2]
+N = 8n+4;  chi = 2n+1;  gamma = 1;  script_L = 1;  B = 2
+place inf = {I1} {1};  place 0 = {I1} {1};  place 1 = {II} {1}
+place 9 = {II} {1}
+c_I0star = {1, 4}
+
+# The multiplicative places t = 1 and t = -1 contribute split predicates
+# -3(1-h)f(1) and 3(-1-h)f(-1) whose product has square class
+# -9 (1-h^2) f(1) f(-1) ~ -1, and the I0* places number 4n+2, so the root
+# number is (-1/p) for every w.  Condition (C) therefore needs p = 1 (mod 4);
+# the law itself is checked at every valid prime.  The t <-> 1/t symmetry
+# forces equal Tamagawa numbers at 0 and infinity.
+id = even_6mod8;  condition = C
+h = [1, 0, 1] / [0, 2];  f = h(i+1) : 1 .. 4n+1
+a2 = [];  a4 = [0, 0, -3, 0, 3, 0, -3]          # -3 t^2 (t^4 - t^2 + 1)
+a6 = [0, 0, 0, 2, 0, -3, 0, -3, 0, 2]           # t^3 (2t^6-3t^4-3t^2+2)
+N = 8n+6;  chi = 2n+3;  gamma = 1;  script_L = 1;  B = 1
+place 1 = {I2} {2};  place -1 = {I2} {2};  place 0 = {I4*} {2, 4}
+place inf = {I4*} {2, 4}
+c_I0star = {4};  c_E_power_of = 4;  equal_c = 0, inf;  eps = (-1)
+
+# ---- N even, nontrivial square class ---------------------------------------
+# The multiplicative places sit at t = 0 (I4, split iff 3 h(w) f(0) is a
+# square) and t = 2 (I2, split iff -6 (2-h(w)) f(2) is a square), which
+# gives the law below; the factor (4w^2+1 / p) hidden in h(2-h) makes it
+# vary with w, and condition (B) is only attainable on the eps = 1 part of
+# the w-grid.
+id = case1_2ns;  condition = B;  nmin = 2
+h = [1] / [1, 0, 2];  g = [1] / [1, 0, 1];  f = g(i) : 1 .. n-1
+a2 = [];  a4 = [-48, 96, -57, 9]            # 3 (t-1)(t-4)(3t-4)
+a6 = [-128, 384, -420, 200, -36]            # -4 (t-1)^2 (9t^2-32t+32)
+N = 2n+2;  gamma = 2;  script_L = 1;  B = 1
+place inf = {III, III*} {2};  place 1 = {III} {2};  place 0 = {I4} {2, 4}
+place 2 = {I2} {2}
+c_I0star = {1, 2, 4};  eps = (3 h f(0)) (-6 (2-h) f(2)) (-1)^n
+ell_nonsquares = 2
+
+id = case2_3ns;  condition = B;  nmin = 2;  exclude = 42
+h = [1] / [1, 0, 2];  g = [1] / [1, 0, 1];  f = g(i) : 1 .. n-1
+a2 = [];  a4 = [-48, 1680, -8967, -12348]   # -3 (28t-1)(147t^2+112t-16)
+a6 = [-128, 6720, -94668, 235298, -1210104]  # -2 (28t-1)(21609t^3-...)
+N = 2n+2;  gamma = 6;  script_L = 1;  B = 1
+place inf = {III, III*} {2};  place 1/28 = {II} {1};  place 0 = {I4} {2, 4}
+place 1 = {I3} {1, 3}
+c_I0star = {1, 2, 4};  ell_squares = 2;  ell_nonsquares = 3
+
+# a4 = 3 (135t^2+96t-256), a6 = -2 (486t^4+621t^3-3024t^2-2304t+4096)
+id = case3_5ns;  condition = B;  nmin = 2;  exclude = 30
+h[even] = [-15] / [-15, 0, 1];  h[odd] = [-5] / [-5, 0, 1]
+g = [1] / [1, 0, 1];  f = g(i) : 1 .. n-1
+a2 = [];  a4 = [-768, 288, 405];  a6 = [-8192, 4608, 6048, -1242, -972]
+N = 2n+2;  gamma[even] = 15;  gamma[odd] = 5;  script_L = 5;  B = 1
+place inf[even] = {IV};  place inf[odd] = {II*}
+place 0 = {I5} {1, 5};  place 1 = {I1} {1};  place -16/9 = {II} {1}
+c_I0star = {1, 2, 4};  ell_squares = 2, 3;  ell_nonsquares = 5
+
+# At infinity the twisted model has (v(c4), v(c6), v(Delta)) = (3, 4, 8) for
+# even n (symbol IV*, gamma factor 3) and (1, 1, 2) for odd n (symbol II,
+# gamma factor 1), forced by the coefficient degrees alone.  The twist map
+# 189/4 (u^2-42)^{-1} must go with even n and 63/4 (u^2-14)^{-1} with odd n:
+# that pairing makes the root number 1 at every cell, while the opposite
+# pairing leaves a stray (3/p).
+# a4 = -12 (9t+4)^2 (14t^3+42t^2+36t+9),
+# a6 = -24 (9t+4)^3 (8t^5+87t^4+222t^3+234t^2+108t+18)
+id = case4_7ns;  condition = B;  nmin = 2;  exclude = 42
+h[even] = [189] / [-168, 0, 4];  h[odd] = [63] / [-56, 0, 4]
+g = [-9/8] / [1, 0, 1];  f = g(i) : 1 .. n-1
+a2 = [];  a4 = [-1728, -14688, -47916, -73968, -52920, -13608]
+a6 = [-27648, -352512, -1899072, -5601456, -9783648, -10187184, -5996592, -1708776, -139968]
+N = 2n+2;  gamma[even] = 42;  gamma[odd] = 14;  script_L = 7;  B = 1
+place inf[even] = {IV*};  place inf[odd] = {II}
+place -4/9 = {I1*} {2, 4};  place 0 = {I7} {1, 7};  place -9/8 = {I2} {2}
+c_I0star = {1, 2, 4};  ell_squares = 2, 3, 5;  ell_nonsquares = 7
+"""
+
+FAMILIES = parse_families(FAMILY_DECLARATIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -582,50 +663,47 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
         elif d.place.degree == 1:
             by_loc[(-d.place.pi.coeffs[0]) % p] = d
 
-    exp = fam.expected
-    if exp is not None:
-        checks["N"] = inv.N == exp.N(n)
-        if exp.chi is not None:
-            checks["chi"] = inv.chi == exp.chi(n)
-        checks["gamma"] = inv.gamma == exp.gamma(n)
-        checks["script_L"] = inv.script_L == exp.script_L
-        checks["B"] = inv.B == exp.B
+    prof = fam.profile[n % 2]
+    for key in _LINEAR_KEYS:
+        if key in prof:
+            a, b = prof[key]
+            checks[key] = getattr(inv, key) == a * n + b
 
-        for loc, syms, c_set in exp.special(n):
-            key = "inf" if loc == "inf" else _fp_scalar(F, loc)
-            d = by_loc.get(key)
-            name = f"place_{loc}"
-            if d is None:
-                checks[name] = False
-                notes.append(f"no bad place at t={loc}")
-                continue
-            ok = str(d.kodaira) in syms
-            if c_set is not None:
-                ok = ok and d.c in c_set
-            checks[name] = ok
-            if not ok:
-                notes.append(f"at t={loc}: got {d.kodaira}, c={d.c}")
+    for loc, syms, c_set in prof["places"]:
+        d = by_loc.get(_loc_key(F, loc))
+        name = f"place_{loc}"
+        if d is None:
+            checks[name] = False
+            notes.append(f"no bad place at t={loc}")
+            continue
+        ok = str(d.kodaira) in syms
+        if c_set is not None:
+            ok = ok and d.c in c_set
+        checks[name] = ok
+        if not ok:
+            notes.append(f"at t={loc}: got {d.kodaira}, c={d.c}")
 
+    if "c_I0star" in prof:
         # the twist place and every root of f carry I_0*
         star_ok = True
         for key in {hw} | {_fp_scalar(F, v) for v in fam.f_values(n)}:
             d = by_loc.get(key)
-            good = (d is not None and str(d.kodaira) == "I0*"
-                    and (exp.c_at_I0star is None or d.c in exp.c_at_I0star))
-            if not good:
+            if not (d is not None and str(d.kodaira) == "I0*"
+                    and d.c in prof["c_I0star"]):
                 star_ok = False
                 notes.append(f"expected I0* at t={key}")
         checks["I0star_places"] = star_ok
 
-        if exp.c_E_power_of:
-            c = inv.c_E
-            while c % exp.c_E_power_of == 0:
-                c //= exp.c_E_power_of
-            checks["c_E_power"] = c == 1
+    if "c_E_power_of" in prof:
+        c = inv.c_E
+        while c % prof["c_E_power_of"] == 0:
+            c //= prof["c_E_power_of"]
+        checks["c_E_power"] = c == 1
 
-    if fam.fid == "even_6mod8":
-        # the t <-> 1/t symmetry forces equal Tamagawa numbers at 0 and inf
-        checks["symmetry_0_inf"] = by_loc[0].c == by_loc["inf"].c
+    if "equal_c" in prof:
+        a, b = (by_loc.get(_loc_key(F, loc)) for loc in prof["equal_c"])
+        name = "symmetry_{}_{}".format(*prof["equal_c"])
+        checks[name] = a is not None and b is not None and a.c == b.c
 
     # criterion hypotheses
     finite = [d for d in inv.local_data if not d.place.is_infinite]
@@ -639,29 +717,15 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
         checks["hyp_6B_le_N"] = 6 * inv.B <= inv.N
 
     # closed-form root-number law
-    if fam.eps_law == "one":
-        checks["epsilon_law"] = inv.epsilon == 1
-    elif fam.eps_law == "intro":
-        checks["epsilon_law"] = ((-inv.epsilon == 1)
-                                 == (legendre(F(-3 * hw)) == 1))
-    elif fam.eps_law == "legendre_minus_one":
-        checks["epsilon_law"] = inv.epsilon == legendre(F(-1))
-    elif fam.eps_law == "case1":
-        f0 = F(1)
-        f2 = F(1)
-        for v in fam.f_values(n):
-            f0 = f0 * (F(0) - _fp_scalar(F, v))
-            f2 = f2 * (F(2) - _fp_scalar(F, v))
-        law = (legendre(F(3 * hw) * f0)
-               * legendre(F(-6) * (F(2) - hw) * f2)
-               * legendre(F(-1)) ** n)
+    law = fam.eps_value(F, n, hw)
+    if law is not None:
         checks["epsilon_law"] = inv.epsilon == law
 
     # square-class conditions for every valid ell; when the root number
     # varies over the w-grid, the eps = 1 requirement in (B)/(C) is only
     # attainable on part of it, so those cells are noted instead of failed
     # (verify_profile still demands an attaining w for every prime)
-    if fam.eps_varies and inv.epsilon != 1:
+    if fam.eps_varies() and inv.epsilon != 1:
         notes.append("root number -1: condition not attainable at this cell")
     else:
         for ell in ells:
@@ -689,8 +753,7 @@ def _condition_holds(cond: str, inv, ell: int) -> bool:
 
 
 def _cell_task(args):
-    fid, n, p, w, ells = args
-    fam = FAMILIES[fid]
+    fam, n, p, w, ells = args
     _, inv, checks, notes = analyze_cell(fam, p, n, w, ells)
     return {"p": p, "w": w, "checks": checks, "notes": notes,
             "invariants": inv.to_json()}
@@ -702,9 +765,8 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
 
     Failures are recorded in the report, never raised.  Primes that hit the
     family's excluded set or a mod-p degeneracy are listed as skipped.  With
-    jobs > 1 (registered families only) the cells are analyzed by a process
-    pool and merged back in grid order, so reports are identical to a serial
-    run."""
+    jobs > 1 the cells are analyzed by a process pool and merged back in
+    grid order, so reports are identical to a serial run."""
     if isinstance(fam, str):
         fam = FAMILIES[fam]
     rep = CriterionReport(family=fam.fid, n=n, condition=fam.condition)
@@ -715,7 +777,7 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
         if not fam.valid_prime(p, n):
             rep.skipped_primes.append([p, "excluded or degenerate mod p"])
             continue
-        if fam.prime_filter is not None and not fam.prime_filter(p):
+        if fam.eps_minus_one_at(p, n):
             rep.skipped_primes.append(
                 [p, "root number is -1 for every w at this prime"])
             continue
@@ -727,13 +789,13 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
             ws = ws[:max_w]
         grid.extend((p, w) for w in ws)
 
-    if jobs > 1 and FAMILIES.get(fam.fid) is fam:
+    tasks = [(fam, n, p, w, tuple(ells)) for p, w in grid]
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        tasks = [(fam.fid, n, p, w, tuple(ells)) for p, w in grid]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_cell_task, tasks))
     else:
-        cells = [_cell_task0(fam, n, p, w, ells) for p, w in grid]
+        cells = [_cell_task(t) for t in tasks]
     rep.cells.extend(cells)
 
     for p in dict.fromkeys(p for p, _ in grid):
@@ -742,16 +804,10 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
                 for c in mine}
         if len(set(kods.values())) > 1:
             rep.kodaira_mismatch.append([p, sorted(kods.items())])
-        if fam.eps_varies and all(c["invariants"]["epsilon"] != 1
-                                  for c in mine):
+        if fam.eps_varies() and all(c["invariants"]["epsilon"] != 1
+                                    for c in mine):
             rep.unattained.append([p, "no w with root number 1"])
     return rep
-
-
-def _cell_task0(fam, n, p, w, ells):
-    _, inv, checks, notes = analyze_cell(fam, p, n, w, ells)
-    return {"p": p, "w": w, "checks": checks, "notes": notes,
-            "invariants": inv.to_json()}
 
 
 def epsilon_law_check(fam, p: int, n: int, w: int):
@@ -760,92 +816,7 @@ def epsilon_law_check(fam, p: int, n: int, w: int):
     Returns True/False, or None when the family states no law."""
     if isinstance(fam, str):
         fam = FAMILIES[fam]
-    if fam.eps_law is None:
+    if fam.eps is None:
         return None
     _, _, checks, _ = analyze_cell(fam, p, n, w, ells=())
     return checks["epsilon_law"]
-
-
-# ---------------------------------------------------------------------------
-# declarative family files
-
-def _parse_coeffs(s):
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"expected [c0,c1,...], got {s!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return ()
-    return tuple(Fraction(x.strip()) for x in body.split(","))
-
-
-def _parse_pair(s):
-    num, _, den = s.partition("/")
-    return _parse_coeffs(num), _parse_coeffs(den or "[1]")
-
-
-def _parse_bound(expr: str, n: int) -> int:
-    """Evaluate a linear bound like '4n-1', 'n' or '3' at the given n."""
-    expr = expr.strip().replace(" ", "")
-    if "n" in expr:
-        a, _, b = expr.partition("n")
-        a = -1 if a == "-" else 1 if a in ("", "+") else int(a)
-        b = int(b) if b else 0
-        return a * n + b
-    return int(expr)
-
-
-def load_family_file(path) -> Family:
-    """Load a family from a key=value text file.
-
-    Keys: id, condition (A/B/C), nmin, exclude, h (pair "[...]/[...]"),
-    g (optional second rational map), f ("h(i)|g(i)|lit(i)[+k] : lo .. hi"),
-    a2/a4/a6 (coefficient lists, implicitly multiplied by f, f^2, f^3).
-    Lines starting with # are comments."""
-    import re
-
-    kv = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad line in family file: {line!r}")
-            k, _, v = line.partition("=")
-            kv[k.strip()] = v.strip()
-    for req in ("id", "condition", "h", "f", "a2", "a4", "a6"):
-        if req not in kv:
-            raise ValueError(f"family file missing key {req!r}")
-
-    h_pair = _parse_pair(kv["h"])
-    g_pair = _parse_pair(kv["g"]) if "g" in kv else None
-    cond = kv["condition"].upper()
-    if cond not in ("A", "B", "C"):
-        raise ValueError(f"unknown condition {cond!r}")
-
-    head, _, rng = kv["f"].partition(":")
-    mobj = re.fullmatch(r"(h|g|lit)\(i(\+\d+)?\)", head.replace(" ", ""))
-    lo_s, _, hi_s = rng.partition("..")
-    if mobj is None or not hi_s:
-        raise ValueError(f"bad f specification {kv['f']!r}")
-    which, shift = mobj.group(1), int(mobj.group(2) or 0)
-    if which == "g" and g_pair is None:
-        raise ValueError("f uses g(i) but no g= was given")
-
-    def f_values(n):
-        lo, hi = _parse_bound(lo_s, n), _parse_bound(hi_s, n)
-        pair = h_pair if which == "h" else g_pair
-        return [Fraction(i + shift) if which == "lit"
-                else _h_of(pair)(i + shift) for i in range(lo, hi + 1)]
-
-    return Family(
-        fid=kv["id"], condition=cond,
-        nmin=int(kv.get("nmin", 0)), nmax=None,
-        exclude=int(kv.get("exclude", 6)),
-        h_pair=lambda n: h_pair,
-        f_values=f_values,
-        abase=(_parse_coeffs(kv["a2"]), _parse_coeffs(kv["a4"]),
-               _parse_coeffs(kv["a6"])),
-        expected=None,
-        eps_law="one" if cond in ("B", "C") else None)

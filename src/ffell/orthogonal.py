@@ -16,10 +16,6 @@ def _as_mod_array(entries, ell: int) -> np.ndarray:
     return M
 
 
-def mat_mul_mod(A: np.ndarray, B: np.ndarray, ell: int) -> np.ndarray:
-    return (A @ B) % ell
-
-
 def mat_pow_mod(A: np.ndarray, e: int, ell: int) -> np.ndarray:
     n = A.shape[0]
     R = np.eye(n, dtype=np.int64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import FieldElement, Poly, legendre
+from .algebra import FieldElement, Poly, legendre, roots
 from .curves import WeierstrassCurve, count_points_cubic
 from .places import (Place, RationalFunction, reduce_at, residue_field,
                      valuation)
@@ -273,8 +273,7 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
     if sym.base == "I" and sym.star and sym.n == 0:
         A2bar = reduce_at(A / RationalFunction(pi ** 2), x)
         B3bar = reduce_at(B / RationalFunction(pi ** 3), x)
-        cubic = Poly_from_elements(K, [B3bar, A2bar, K.zero, K.one])
-        c = 1 + _count_roots(cubic)
+        c = 1 + len(roots(Poly(K, [B3bar, A2bar, K.zero, K.one])))
     elif sym.base == "I" and sym.star:
         c = _tamagawa_in_star(A, B, pi, x, sym.n)
     elif sym.base == "II":
@@ -291,15 +290,6 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
         raise AssertionError(sym)
     return LocalReductionData(x, sym, **row, c=c, reduction_type="additive",
                               a_x=0, v_min_delta=d)
-
-
-def Poly_from_elements(K, elems) -> Poly:
-    return Poly(K, list(elems))
-
-
-def _count_roots(f: Poly) -> int:
-    from .algebra import roots
-    return len(roots(f))
 
 
 def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:

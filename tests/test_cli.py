@@ -121,6 +121,28 @@ class TestVerifyFamily:
         assert res.exit_code == 1
         assert json.loads(res.stdout)["unattained"]
 
+    def test_all_primes_skipped_exits_2(self, runner):
+        # W(F_11) is empty for odd_5mod8: nothing was verified, which is
+        # neither a pass nor a failed check
+        res = runner.invoke(main, ["verify-family", "odd_5mod8", "--n", "1",
+                                   "--primes", "11", "--jobs", "1"])
+        assert res.exit_code == 2
+        assert "no cells verified" in res.stderr
+        assert "verdict" not in res.stderr
+        rec = json.loads(res.stdout)
+        assert rec["cells"] == [] and rec["verdict"] is False
+        assert rec["skipped_primes"] == [
+            [11, "empty twist-parameter set W(F_p)"]]
+
+    def test_unknown_family_key_exits_2(self, runner, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("id = x\ncondition = C\nh = [0, 1]\na2 = []\n"
+                        "a4 = [1]\na6 = [1]\ngama = 2\n")
+        res = runner.invoke(main, ["verify-family", str(path),
+                                   "--primes", "11", "--jobs", "1"])
+        assert res.exit_code == 2
+        assert "gama" in res.output
+
     def test_deterministic_json(self, runner):
         args = ["verify-family", "even_4mod8", "--n", "1", "--primes", "11",
                 "--max-w", "2", "--jobs", "1"]

@@ -1,16 +1,31 @@
-import dataclasses
-from fractions import Fraction
+import json
+import re
 
 import pytest
+from click.testing import CliRunner
 
 from ffell.algebra import Poly, PrimeField
-from ffell.families import (FAMILIES, epsilon_law_check, load_family_file,
-                            verify_profile)
+from ffell.cli import main
+from ffell.families import (FAMILIES, FAMILY_DECLARATIONS, epsilon_law_check,
+                            load_family_file, parse_families, verify_profile)
 from ffell.lfunction import global_invariants
 
 ALL_IDS = {"intro_N5", "odd_1mod8", "odd_3mod8", "odd_5mod8", "odd_7mod8",
            "even_0mod8", "even_2mod8", "even_4mod8", "even_6mod8",
            "case1_2ns", "case2_3ns", "case3_5ns", "case4_7ns"}
+
+
+def declaration(fid):
+    """The built-in declaration of one family, as family-file text."""
+    blocks = re.split(r"(?m)^(?=id = )", FAMILY_DECLARATIONS)
+    return next(b for b in blocks if re.match(rf"id = {fid}\b", b))
+
+
+def variant(fid, old, new):
+    """A built-in family with one piece of its declaration replaced."""
+    text = declaration(fid)
+    assert old in text
+    return parse_families(text.replace(old, new))[fid]
 
 
 class TestRegistry:
@@ -157,6 +172,7 @@ class TestVerifyProfile:
         assert rep.verdict
         assert rep.skipped_primes == [
             [7, "root number is -1 for every w at this prime"]]
+        assert all(c["checks"]["symmetry_0_inf"] for c in rep.cells)
 
     def test_case1_unattained_prime_fails(self):
         # the whole W(F_5) has root number -1, so condition (B) has no
@@ -211,10 +227,11 @@ class TestEpsilonLaws:
 
     def test_negative_control_h_replaced_by_u(self):
         # replacing the twist map by h(u) = u destroys the square-class
-        # telescoping, so the eps = 1 law must fail somewhere
-        fam = dataclasses.replace(
-            FAMILIES["even_0mod8"],
-            h_pair=lambda n: ((Fraction(0), Fraction(1)), (Fraction(1),)))
+        # telescoping, so the eps = 1 law must fail somewhere (the roots of
+        # f stay those of the original map, now declared as g)
+        h0 = "[0, 0, 4] / [1, 0, 2, 0, 1]"
+        fam = variant("even_0mod8", f"h = {h0};  f = h(i+1)",
+                      f"h = [0, 1] / [1];  g = {h0};  f = g(i+1)")
         results = [epsilon_law_check(fam, 19, 1, w)
                    for w in fam.W_set(19, 1)[:8]]
         assert False in results
@@ -222,11 +239,9 @@ class TestEpsilonLaws:
     def test_case4_swapped_h_breaks_law(self):
         # the opposite twist-map parity pairing leaves a stray (3/p),
         # which is -1 at p = 19
-        def swapped(n):
-            c = 14 if n % 2 == 0 else 42
-            return ((Fraction(9 * c, 2),),
-                    (Fraction(-4 * c), Fraction(0), Fraction(4)))
-        fam = dataclasses.replace(FAMILIES["case4_7ns"], h_pair=swapped)
+        fam = variant("case4_7ns",
+                      "h[even] = [189] / [-168, 0, 4];  h[odd] = [63]",
+                      "h[odd] = [189] / [-168, 0, 4];  h[even] = [63]")
         w = fam.W_set(19, 2)[0]
         E = fam.instantiate(19, 2, w)
         assert global_invariants(E).epsilon == -1
@@ -286,3 +301,49 @@ class TestFamilyFiles:
                                            "f = g(i) : 1 .. 4n"))
         with pytest.raises(ValueError):
             load_family_file(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        # a misspelled profile key must not silently check nothing
+        path = tmp_path / "fam.txt"
+        path.write_text(EVEN4_FILE + "gama = 1\n")
+        with pytest.raises(ValueError, match="gama"):
+            load_family_file(path)
+
+    def test_zero_denominator_rejected(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(EVEN4_FILE.replace("[0, 0, -3] / [1]",
+                                           "[0, 0, -3] / [1/0]"))
+        with pytest.raises(ValueError):
+            load_family_file(path)
+
+    def test_parity_variant_only_where_allowed(self):
+        with pytest.raises(ValueError):
+            variant("case3_5ns", "N = 2n+2", "N[even] = 2n+2")
+        with pytest.raises(ValueError):       # both for all n and for even n
+            variant("case3_5ns", "gamma[odd] = 5", "gamma = 5")
+
+    def test_builtin_declaration_round_trip(self, tmp_path):
+        # even_4mod8's declaration, profile included, read back from a file
+        # verifies exactly like the built-in
+        path = tmp_path / "fam.txt"
+        path.write_text(declaration("even_4mod8").replace(
+            "id = even_4mod8", "id = even_4_from_file"))
+        got = verify_profile(load_family_file(path), 1, [11, 17],
+                             max_w=3).to_json()
+        ref = verify_profile("even_4mod8", 1, [11, 17], max_w=3).to_json()
+        assert got.pop("family") == "even_4_from_file"
+        assert ref.pop("family") == "even_4mod8"
+        assert got == ref and got["verdict"]
+        assert all("place_9" in c["checks"] and "I0star_places" in c["checks"]
+                   for c in got["cells"])
+
+    def test_wrong_profile_entry_fails(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(declaration("even_4mod8").replace("B = 2", "B = 3"))
+        res = CliRunner().invoke(main, ["verify-family", str(path), "--n",
+                                        "1", "--primes", "11", "--max-w",
+                                        "2", "--jobs", "1"])
+        assert res.exit_code == 1
+        assert "verdict: FAIL" in res.stderr
+        assert all(c["checks"]["B"] is False
+                   for c in json.loads(res.stdout)["cells"])
