@@ -187,6 +187,8 @@ def verify_family(family, n, primes, ells, max_w, jobs, out):
     elif os.path.exists(family):
         try:
             fam = load_family_file(family)
+        except OSError as exc:
+            raise click.UsageError(f"cannot read family file: {exc}")
         except ValueError as exc:
             raise click.UsageError(f"bad family file: {exc}")
     else:

@@ -4,7 +4,7 @@ their standard quantities, quadratic twists, and exact fiber point counts."""
 from __future__ import annotations
 
 from .algebra import FieldElement, Poly, PrimeField, legendre
-from .places import Place, RationalFunction, residue_field
+from .places import Place, residue_field
 
 
 class WeierstrassCurve:
@@ -30,13 +30,11 @@ class WeierstrassCurve:
         F = PrimeField(p)
         return cls(Poly(F, a2), Poly(F, a4), Poly(F, a6))
 
-    @property
-    def j(self) -> RationalFunction:
-        return RationalFunction(self.c4 ** 3, self.delta)
-
     def is_isotrivial(self) -> bool:
-        j = self.j
-        return j.num.degree <= 0 and j.den.degree <= 0
+        """Whether j = c4^3/Delta is constant, i.e. c4^3 is a constant
+        multiple (possibly 0) of Delta."""
+        q, r = divmod(self.c4 ** 3, self.delta)
+        return not r and q.degree <= 0
 
     def assert_nonisotrivial(self):
         if self.is_isotrivial():

@@ -197,28 +197,28 @@ class Family:
             raise ValueError(f"{self.fid}: beta({w}) = 0 mod {p}")
         return int((_fp_poly(F, num)(F(w)) / d).raw)
 
+    def _in_W(self, F: PrimeField, n: int, delta: Poly, w: int) -> bool:
+        """Whether beta(w) != 0 and Delta(h(w)) != 0, for the discriminant
+        delta of the base model mod p."""
+        num, den = (_fp_poly(F, c) for c in self.h_pair(n))
+        dw = den(F(w))
+        return bool(dw) and bool(delta(num(F(w)) / dw))
+
     def W_set(self, p: int, n: int) -> list:
         """All w in F_p with beta(w) != 0 and Delta(h(w)) != 0."""
         F = PrimeField(p)
-        num, den = self.h_pair(n)
-        numF, denF = _fp_poly(F, num), _fp_poly(F, den)
         delta = self.base_curve(p, n).delta
-        out = []
-        for w in range(p):
-            dw = denF(F(w))
-            if dw and delta(numF(F(w)) / dw):
-                out.append(w)
-        return out
+        return [w for w in range(p) if self._in_W(F, n, delta, w)]
 
     def instantiate(self, p: int, n: int, w: int) -> WeierstrassCurve:
         """The member curve at (p, w): the base model twisted by t - h(w)."""
         if not self.valid_prime(p, n):
             raise ValueError(f"{self.fid}: invalid prime {p} for n={n}")
-        if w % p not in self.W_set(p, n):
-            raise ValueError(f"{self.fid}: w={w} not in W(F_{p})")
         F = PrimeField(p)
-        hw = self.h_mod_p(p, n, w)
-        return self.base_curve(p, n).twist_by(Poly.t(F) - hw)
+        E = self.base_curve(p, n)
+        if not self._in_W(F, n, E.delta, w):
+            raise ValueError(f"{self.fid}: w={w} not in W(F_{p})")
+        return E.twist_by(Poly.t(F) - self.h_mod_p(p, n, w))
 
     def eps_value(self, F: PrimeField, n: int, hw=None):
         """The root number the law predicts at a cell with h(w) = hw mod p

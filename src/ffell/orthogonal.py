@@ -28,26 +28,43 @@ def mat_pow_mod(A: np.ndarray, e: int, ell: int) -> np.ndarray:
     return R
 
 
+def _row_reduce(M, ell: int, reduced: bool = False):
+    """Row echelon form of M mod ell (ell prime) by Gaussian elimination,
+    with every pivot scaled to 1; the reduced form (zeros above the pivots
+    too) when `reduced`.
+
+    Returns (rows, pivot columns, d), where d is the product of the pivots
+    met, times -1 per row swap: det(M) mod ell when M is square and
+    invertible."""
+    A = [[int(v) % ell for v in row] for row in M]
+    n_rows = len(A)
+    pivots = []
+    d = 1
+    for c in range(len(A[0]) if A else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, n_rows) if A[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            A[r], A[piv] = A[piv], A[r]
+            d = -d
+        d = d * A[r][c] % ell
+        inv = pow(A[r][c], ell - 2, ell)
+        A[r] = [v * inv % ell for v in A[r]]
+        for i in range(0 if reduced else r + 1, n_rows):
+            if i != r and A[i][c]:
+                m = A[i][c]
+                A[i] = [(v - m * w) % ell for v, w in zip(A[i], A[r])]
+        pivots.append(c)
+        if len(pivots) == n_rows:
+            break
+    return A, pivots, d
+
+
 def det_mod(M: np.ndarray, ell: int) -> int:
     """Determinant mod ell by Gaussian elimination (ell prime)."""
-    A = [[int(v) % ell for v in row] for row in M]
-    n = len(A)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det % ell
-        det = det * A[col][col] % ell
-        inv = pow(A[col][col], ell - 2, ell)
-        for r in range(col + 1, n):
-            if A[r][col]:
-                m = A[r][col] * inv % ell
-                for c in range(col, n):
-                    A[r][c] = (A[r][c] - m * A[col][c]) % ell
-    return det
+    A, pivots, d = _row_reduce(M, ell)
+    return d if len(pivots) == len(A) else 0
 
 
 def square_class_mod(a: int, ell: int) -> SquareClass:
@@ -189,42 +206,15 @@ def _orthogonal_basis(space: OrthogonalSpace) -> np.ndarray:
 
 
 def _rank_mod(M: np.ndarray, ell: int) -> int:
-    A = [[int(v) % ell for v in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    rank = 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], ell - 2, ell)
-        for i in range(r + 1, rows):
-            if A[i][c]:
-                m = A[i][c] * inv % ell
-                for j in range(c, cols):
-                    A[i][j] = (A[i][j] - m * A[r][j]) % ell
-        r += 1
-        rank += 1
-    return rank
+    return len(_row_reduce(M, ell)[1])
 
 
 def _inverse_mod(M: np.ndarray, ell: int) -> np.ndarray:
     n = M.shape[0]
-    A = np.concatenate([M % ell, np.eye(n, dtype=np.int64)], axis=1).tolist()
-    A = [[int(v) for v in row] for row in A]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c]), None)
-        if piv is None:
-            raise ValueError("matrix not invertible")
-        A[c], A[piv] = A[piv], A[c]
-        inv = pow(A[c][c], ell - 2, ell)
-        A[c] = [v * inv % ell for v in A[c]]
-        for r in range(n):
-            if r != c and A[r][c]:
-                m = A[r][c]
-                A[r] = [(A[r][j] - m * A[c][j]) % ell for j in range(2 * n)]
+    A, pivots, _ = _row_reduce(np.concatenate(
+        [M % ell, np.eye(n, dtype=np.int64)], axis=1), ell, reduced=True)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix not invertible")
     return np.array([row[n:] for row in A], dtype=np.int64)
 
 

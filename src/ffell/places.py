@@ -1,17 +1,17 @@
-"""Closed points of P^1 over F_q and valuations of rational functions.
+"""Closed points of P^1 over F_q, their residue fields, and residues of
+polynomials.
 
 A finite place is a monic irreducible polynomial pi over F_q; the place at
 infinity has uniformizer 1/t and residue field F_q.  Residue fields are
 realized as F_q[t]/(pi), i.e. an ExtField with modulus pi (or F_q itself in
-degree 1).
+degree 1), so the residue of a polynomial f is f mod pi read in that field.
+Reduction at infinity goes through the coordinate u = 1/t instead (see
+reduction.curve_at_infinity).
 """
 
 from __future__ import annotations
 
-from .algebra import (ExtField, FieldElement, Poly, PrimeField,
-                      is_irreducible, _poly_divmod)
-
-INF = float("inf")
+from .algebra import ExtField, FieldElement, Poly, PrimeField, is_irreducible
 
 
 class Place:
@@ -62,100 +62,6 @@ class Place:
         return f"Place({self.pi})"
 
 
-class RationalFunction:
-    """Element of F_q(t), stored as coprime num/den with monic den."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        field = num.field
-        if den is None:
-            den = Poly(field, [1])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if g.degree >= 1:
-            num, den = num // g, den // g
-        lead_inv = den.lead().inverse()
-        self.num = num * lead_inv
-        self.den = den * lead_inv
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        if isinstance(other, (int, FieldElement)):
-            return RationalFunction(Poly(self.field, [other]))
-        raise TypeError(f"cannot coerce {other!r}")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if not o.num:
-            raise ZeroDivisionError
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, e):
-        if e < 0:
-            return RationalFunction(self.den, self.num) ** (-e)
-        return RationalFunction(self.num ** e, self.den ** e)
-
-    def __repr__(self):
-        if self.den.degree == 0:
-            return f"({self.num})"
-        return f"({self.num})/({self.den})"
-
-
-def valuation(f, x: Place):
-    """v_x(f) for f a RationalFunction or Poly; v(0) = +infinity."""
-    if isinstance(f, Poly):
-        f = RationalFunction(f)
-    if not f:
-        return INF
-    if x.is_infinite:
-        return int(f.den.degree) - int(f.num.degree)
-    return f.num.valuation(x.pi) - f.den.valuation(x.pi)
-
-
 def residue_field(x: Place):
     """F_x = F_q[t]/(pi), of order q^(deg x)."""
     if x.is_infinite or x.degree == 1:
@@ -163,36 +69,12 @@ def residue_field(x: Place):
     return ExtField(x.field, list(x.pi.coeffs))
 
 
-def residue_of_t(x: Place) -> FieldElement:
-    """Image of t in the residue field of a finite place."""
-    if x.is_infinite:
-        raise ValueError("t has a pole at infinity")
-    if x.degree == 1:
-        return -FieldElement(x.field, x.pi.coeffs[0])
-    K = residue_field(x)
-    return K.gen
-
-
-def reduce_at(f, x: Place) -> FieldElement:
-    """Image of f in the residue field at x; requires v_x(f) >= 0."""
-    if isinstance(f, Poly):
-        f = RationalFunction(f)
-    v = valuation(f, x)
-    if v == INF:
-        return residue_field(x).zero
-    if v < 0:
-        raise ValueError(f"{f!r} has a pole at {x!r}")
-    if x.is_infinite:
-        if v > 0:
-            return x.field.zero
-        return f.num.lead() / f.den.lead()
-    num, den = f.num, f.den
-    k = den.valuation(x.pi)
-    if k:
-        pik = x.pi ** k
-        num, den = num // pik, den // pik
-    a = residue_of_t(x)
-    return num(a) / den(a)
+def reduce_at(f: Poly, x: Place) -> FieldElement:
+    """Image of the polynomial f in the residue field of the finite place x:
+    f mod pi, read in F_q[t]/(pi) (the image of t is the generator)."""
+    r = (f % x.pi).coeffs
+    r += (0,) * (x.degree - len(r))
+    return FieldElement(residue_field(x), r[0] if x.degree == 1 else r)
 
 
 def count_places(q: int, d: int) -> int:

@@ -3,6 +3,12 @@
 residue characteristic is >= 5), table invariants, Tamagawa number,
 split/non-split discrimination, a_x and the local root-number factor.
 
+At a finite place pi every quantity the algorithm handles is a polynomial
+divided by a power of pi: the minimal-model coefficients -c4/(48 pi^(4s))
+and -c6/(864 pi^(6s)), and the shifted coefficients of the I_n*
+subprocedure.  They are all kept as polynomials, divided by pi^k exactly
+(a nonzero remainder raises ValueError) and reduced as f mod pi.
+
 The place at infinity is handled by substituting t -> 1/u into an equivalent
 model and reducing at u = 0.
 """
@@ -14,8 +20,7 @@ from dataclasses import dataclass
 
 from .algebra import FieldElement, Poly, legendre, roots
 from .curves import WeierstrassCurve, count_points_cubic
-from .places import (Place, RationalFunction, reduce_at, residue_field,
-                     valuation)
+from .places import Place, reduce_at, residue_field
 
 INF = float("inf")
 
@@ -148,6 +153,14 @@ def _val(p: Poly, pi: Poly):
     return INF if not p else p.valuation(pi)
 
 
+def _div(f: Poly, pi: Poly, k: int) -> Poly:
+    """f / pi^k, which must be a polynomial."""
+    q, r = divmod(f, pi ** k)
+    if r:
+        raise ValueError(f"({pi})^{k} does not divide {f!r}")
+    return q
+
+
 def _classify(a, b, d) -> KodairaSymbol:
     """Kodaira symbol from minimal (v(c4), v(c6), v(Delta))."""
     if d == 0:
@@ -187,12 +200,10 @@ def _tamagawa_in_star(A, B, pi: Poly, x: Place, n_expected: int) -> int:
     v_x(A) = 2 and v_x(B) = 3.  Returns c in {2, 4}; asserts that the loop
     length matches n_expected = v(Delta_min) - 6.
     """
-    K = residue_field(x)
-    pi2 = RationalFunction(pi ** 2)
-    A2bar = reduce_at(A / pi2, x)
-    B3bar = reduce_at(B / RationalFunction(pi ** 3), x)
+    A2bar = reduce_at(_div(A, pi, 2), x)
+    B3bar = reduce_at(_div(B, pi, 3), x)
     T0 = -3 * B3bar / (2 * A2bar)  # double root of T^3 + A2bar T + B3bar
-    r = RationalFunction(pi * _lift(x, T0))
+    r = pi * _lift(x, T0)
     a2 = 3 * r
     a4 = A + 3 * r ** 2
     a6 = B + A * r + r ** 3
@@ -200,22 +211,22 @@ def _tamagawa_in_star(A, B, pi: Poly, x: Place, n_expected: int) -> int:
     while True:
         if n % 2 == 1:
             k = (n + 1) // 2
-            u = reduce_at(a6 / RationalFunction(pi ** (2 * k + 2)), x)
+            u = reduce_at(_div(a6, pi, 2 * k + 2), x)
             if u:
                 c = 4 if legendre(u) == 1 else 2
                 break
             # double root Y = 0 of Y^2 - u; no shift needed in odd characteristic
         else:
             m = n // 2
-            abar = reduce_at(a2 / RationalFunction(pi), x)
-            bbar = reduce_at(a4 / RationalFunction(pi ** (m + 2)), x)
-            cbar = reduce_at(a6 / RationalFunction(pi ** (2 * m + 3)), x)
+            abar = reduce_at(_div(a2, pi, 1), x)
+            bbar = reduce_at(_div(a4, pi, m + 2), x)
+            cbar = reduce_at(_div(a6, pi, 2 * m + 3), x)
             disc = bbar * bbar - 4 * abar * cbar
             if disc:
                 c = 4 if legendre(disc) == 1 else 2
                 break
             X0 = -bbar / (2 * abar)
-            sh = RationalFunction(pi ** (m + 1) * _lift(x, X0))
+            sh = pi ** (m + 1) * _lift(x, X0)
             a6 = a6 + a4 * sh + a2 * sh ** 2 + sh ** 3
             a4 = a4 + 2 * a2 * sh + 3 * sh ** 2
             a2 = a2 + 3 * sh
@@ -239,10 +250,8 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
 
     inv48 = F(48).inverse()
     inv864 = F(864).inverse()
-    pis4 = RationalFunction(pi ** (4 * s)) if s else RationalFunction(Poly(F, [1]))
-    pis6 = RationalFunction(pi ** (6 * s)) if s else RationalFunction(Poly(F, [1]))
-    A = RationalFunction(-inv48 * curve.c4) / pis4
-    B = RationalFunction(-inv864 * curve.c6) / pis6
+    A = _div(-inv48 * curve.c4, pi, 4 * s)
+    B = _div(-inv864 * curve.c6, pi, 6 * s)
 
     minimal_fiber = None
     if sym.base == "I" and not sym.star and sym.n == 0:
@@ -271,8 +280,8 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
 
     # additive types
     if sym.base == "I" and sym.star and sym.n == 0:
-        A2bar = reduce_at(A / RationalFunction(pi ** 2), x)
-        B3bar = reduce_at(B / RationalFunction(pi ** 3), x)
+        A2bar = reduce_at(_div(A, pi, 2), x)
+        B3bar = reduce_at(_div(B, pi, 3), x)
         c = 1 + len(roots(Poly(K, [B3bar, A2bar, K.zero, K.one])))
     elif sym.base == "I" and sym.star:
         c = _tamagawa_in_star(A, B, pi, x, sym.n)
@@ -281,10 +290,10 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
     elif sym.base == "III":
         c = 2
     elif sym.base == "IV" and not sym.star:
-        B2bar = reduce_at(B / RationalFunction(pi ** 2), x)
+        B2bar = reduce_at(_div(B, pi, 2), x)
         c = 3 if legendre(B2bar) == 1 else 1
     elif sym.base == "IV" and sym.star:
-        B4bar = reduce_at(B / RationalFunction(pi ** 4), x)
+        B4bar = reduce_at(_div(B, pi, 4), x)
         c = 3 if legendre(B4bar) == 1 else 1
     else:
         raise AssertionError(sym)

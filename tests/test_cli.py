@@ -143,6 +143,14 @@ class TestVerifyFamily:
         assert res.exit_code == 2
         assert "gama" in res.output
 
+    def test_directory_as_family_file_exits_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["verify-family", str(tmp_path),
+                                   "--primes", "11", "--jobs", "1"])
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "cannot read family file" in res.stderr
+        assert res.stdout == ""
+
     def test_deterministic_json(self, runner):
         args = ["verify-family", "even_4mod8", "--n", "1", "--primes", "11",
                 "--max-w", "2", "--jobs", "1"]

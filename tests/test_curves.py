@@ -13,6 +13,11 @@ def intro_base(p):
     return WeierstrassCurve(Poly(F, []), 3 * u ** 3, -2 * u ** 5)
 
 
+def same_j(E1, E2):
+    """j(E1) = j(E2), i.e. c4'^3 Delta = c4^3 Delta'."""
+    return E1.c4 ** 3 * E2.delta == E2.c4 ** 3 * E1.delta
+
+
 class TestQuantities:
     def test_intro_discriminant(self):
         # Delta = -2^6 3^3 t^2 (t-1)^9 (t+1)^9
@@ -28,8 +33,7 @@ class TestQuantities:
         F = PrimeField(7)
         E = WeierstrassCurve(Poly(F, []), Poly(F, [1]), Poly(F, []))
         assert E.delta == Poly(F, [-64])
-        assert E.j * E.delta == E.c4 ** 3
-        assert E.j.num == Poly(F, [1728]) * E.j.den
+        assert E.c4 ** 3 == 1728 * E.delta  # j = c4^3 / Delta = 1728
         assert E.is_isotrivial()
 
     def test_section52_discriminant(self):
@@ -47,6 +51,32 @@ class TestQuantities:
             WeierstrassCurve(Poly(F, []), Poly(F, []), Poly(F, []))
 
 
+class TestIsotrivial:
+    def test_c4_zero(self):
+        # y^2 = x^3 + t: c4 = 0, so j = 0 although Delta is not constant
+        F = PrimeField(7)
+        E = WeierstrassCurve(Poly(F, []), Poly(F, []), Poly.t(F))
+        assert not E.c4 and E.delta.degree == 2
+        assert E.is_isotrivial()
+
+    def test_constant_j_with_moving_coefficients(self):
+        # a twist of a constant curve by t - 1 keeps j(y^2 = x^3 + x + 1)
+        F = PrimeField(7)
+        E = WeierstrassCurve(Poly(F, []), Poly(F, [1]), Poly(F, [1]))
+        Et = E.twist_by(Poly(F, [-1, 1]))
+        assert Et.c4.degree == 2 and Et.delta.degree == 6
+        assert Et.is_isotrivial()
+        with pytest.raises(ValueError):
+            Et.assert_nonisotrivial()
+
+    def test_nonisotrivial(self):
+        for p in (5, 7, 11):
+            E = intro_base(p)
+            assert not E.is_isotrivial()
+            E.assert_nonisotrivial()
+            assert not E.twist_by(Poly(E.field, [-2, 1])).is_isotrivial()
+
+
 class TestTwist:
     def test_constant_twist_formula(self):
         E = intro_base(5)
@@ -60,14 +90,14 @@ class TestTwist:
         d = Poly(F, [3, 1])
         Ett = E.twist_by(d).twist_by(d)
         assert Ett.delta == E.delta * d ** 12
-        assert Ett.j == E.j
+        assert same_j(Ett, E)
 
     def test_twist_by_t_minus_1(self):
         E = intro_base(5)
         d = Poly(E.field, [-1, 1])
         Et = E.twist_by(d)
         assert Et.delta == E.delta * d ** 6
-        assert Et.j == E.j
+        assert same_j(Et, E)
 
     def test_twist_by_zero_rejected(self):
         with pytest.raises(ValueError):

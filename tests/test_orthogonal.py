@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ffell.algebra import SquareClass
-from ffell.orthogonal import (OrthMatrix, OrthogonalSpace, det_mod, identity,
+from ffell.orthogonal import (OrthMatrix, OrthogonalSpace, _inverse_mod,
+                              _rank_mod, det_mod, identity,
                               mat_pow_mod, omega_membership, order_excludes,
                               random_orthogonal, reflection, spinor_norm,
                               spinor_zassenhaus, square_class_mod)
@@ -23,6 +25,53 @@ def spaces(seed=0):
             if det_mod(G, ell):
                 out.append((OrthogonalSpace(ell, G), rng))
     return out
+
+
+def fraction_det(M) -> int:
+    """Integer determinant by exact elimination over Q."""
+    A = [[Fraction(int(v)) for v in row] for row in M]
+    n = len(A)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if A[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, n):
+            m = A[r][c] / A[c][c]
+            A[r] = [a - m * b for a, b in zip(A[r], A[c])]
+    assert det.denominator == 1
+    return int(det)
+
+
+class TestRowReduction:
+    @pytest.mark.parametrize("ell", [5, 7, 11, 13])
+    def test_det_inverse_rank(self, ell):
+        rng = random.Random(ell)
+        singular = 0
+        for n in range(1, 7):
+            I = np.eye(n, dtype=np.int64)
+            for _ in range(25):
+                M = np.array([[rng.randrange(-30, 31) for _ in range(n)]
+                              for _ in range(n)], dtype=np.int64)
+                d = det_mod(M, ell)
+                assert d == fraction_det(M) % ell
+                assert (_rank_mod(M, ell) == n) == (d != 0)
+                if d:
+                    assert np.array_equal(M @ _inverse_mod(M, ell) % ell, I)
+                else:
+                    singular += 1
+                    with pytest.raises(ValueError):
+                        _inverse_mod(M, ell)
+                if n >= 2:
+                    R = M.copy()
+                    R[-1] = R[0]                # a repeated row
+                    assert det_mod(R, ell) == 0
+                    assert _rank_mod(R, ell) == _rank_mod(M[:-1], ell) < n
+        assert singular                         # both branches were met
 
 
 class TestSpace:

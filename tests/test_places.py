@@ -2,81 +2,69 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffell.algebra import Poly, PrimeField, factor
-from ffell.places import (INF, Place, RationalFunction, count_places,
-                          enumerate_places, reduce_at, residue_field,
-                          residue_of_t, valuation)
+from ffell.places import (Place, count_places, enumerate_places, reduce_at,
+                          residue_field)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+
+# every finite place of degree 1..3 over F_5 and F_7
+FINITE_PLACES = {p: [x for x in enumerate_places(PrimeField(p), 3)
+                     if not x.is_infinite] for p in (5, 7)}
 
 
 def t_poly(F):
     return Poly.t(F)
 
 
+def random_poly(F, data, n):
+    return Poly(F, [data.draw(st.integers(0, F.p - 1)) for _ in range(n)])
+
+
 class TestValuation:
     def test_finite_multiplicity(self):
         t = t_poly(F5)
         f = t ** 2 * (t - 1) ** 9
-        assert valuation(f, Place.rational(F5, 0)) == 2
-
-    def test_infinity_degree_count(self):
-        t = t_poly(F5)
-        f = t ** 2 * (t - 1) ** 9
-        assert valuation(f, Place.infinity(F5)) == -11
+        assert f.valuation(Place.rational(F5, 0).pi) == 2
 
     def test_degree_two_factors(self):
         t = t_poly(F7)
-        f = RationalFunction(t ** 2 + 1, t - 2)
         _, facs = factor(t ** 2 + 1)
         for pi, _ in facs:
-            assert valuation(f, Place.finite(F7, pi)) == 1
+            x = Place.finite(F7, pi)
+            assert (t ** 2 + 1).valuation(x.pi) == 1
+            assert (t - 2).valuation(x.pi) == 0
 
     def test_zero(self):
-        assert valuation(Poly(F5, []), Place.rational(F5, 1)) == INF
+        # v(0) is +infinity: no finite multiplicity exists
+        with pytest.raises(ValueError):
+            Poly(F5, []).valuation(Place.rational(F5, 1).pi)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([5, 7]), st.data())
     def test_valuation_is_a_valuation(self, p, data):
         F = PrimeField(p)
-
-        def rand_rf():
-            num = Poly(F, [data.draw(st.integers(0, p - 1)) for _ in range(4)])
-            den = Poly(F, [data.draw(st.integers(0, p - 1)) for _ in range(3)])
-            if not num or not den:
-                return None
-            return RationalFunction(num, den)
-
-        f, g = rand_rf(), rand_rf()
-        if f is None or g is None:
+        f, g = random_poly(F, data, 4), random_poly(F, data, 3)
+        if not f or not g:
             return
-        places = [Place.infinity(F)] + [Place.rational(F, a) for a in range(p)]
-        for x in places:
-            assert valuation(f * g, x) == valuation(f, x) + valuation(g, x)
+        for x in FINITE_PLACES[p]:
+            v = x.pi
+            assert (f * g).valuation(v) == f.valuation(v) + g.valuation(v)
             s = f + g
             if s:
-                assert valuation(s, x) >= min(valuation(f, x), valuation(g, x))
+                assert s.valuation(v) >= min(f.valuation(v), g.valuation(v))
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([5, 7]), st.data())
     def test_product_formula(self, p, data):
         F = PrimeField(p)
-        num = Poly(F, [data.draw(st.integers(0, p - 1)) for _ in range(5)])
-        den = Poly(F, [data.draw(st.integers(0, p - 1)) for _ in range(4)])
-        if not num or not den:
-            return
-        f = RationalFunction(num, den)
+        f = random_poly(F, data, 5)
         if not f:
             return
-        total = -valuation(f, Place.infinity(F))  # deg num - deg den
-        seen = 0
-        for g in (f.num, f.den):
-            sign = 1 if g is f.num else -1
-            if g.degree >= 1:
-                _, facs = factor(g)
-                for pi, m in facs:
-                    seen += sign * m * int(pi.degree)
-        assert seen == total  # sum over finite places of v_x(f) deg x = -v_oo(f)
+        # sum over finite places of v_x(f) deg x = deg f = -v_oo(f)
+        _, facs = factor(f)
+        assert sum(f.valuation(pi) * int(pi.degree)
+                   for pi, _ in facs) == f.degree
 
 
 class TestEnumeratePlaces:
@@ -111,35 +99,36 @@ class TestResidue:
         x = Place.rational(F5, 3)
         assert reduce_at(t_poly(F5) ** 2, x) == F5(4)
 
-    def test_infinity_leading_ratio(self):
-        t = t_poly(F5)
-        f = RationalFunction(2 * t ** 2 + 1, t ** 2 - 1)
-        assert reduce_at(f, Place.infinity(F5)) == F5(2)
-
     def test_degree_two_minimal_polynomial(self):
         _, facs = factor(Poly(F5, [2, 0, 1]))
         pi = facs[0][0]
         x = Place.finite(F5, pi)
         K = residue_field(x)
         assert K.order == 25
-        a = residue_of_t(x)
+        a = reduce_at(t_poly(F5), x)
         # the image of t satisfies its own minimal polynomial t^2 + 2
+        assert a == K.gen
         assert a * a + 2 == K.zero
 
-    def test_pole_rejected(self):
-        t = t_poly(F5)
-        with pytest.raises(ValueError):
-            reduce_at(RationalFunction(Poly(F5, [1]), t), Place.rational(F5, 0))
-
     def test_ring_morphism(self):
-        x = Place.rational(F7, 2)
         t = t_poly(F7)
-        f = RationalFunction(t + 1, t - 1)
-        g = RationalFunction(t ** 2 + 3)
-        assert reduce_at(f * g, x) == reduce_at(f, x) * reduce_at(g, x)
-        assert reduce_at(f + g, x) == reduce_at(f, x) + reduce_at(g, x)
+        f = t ** 3 + 2 * t + 1
+        g = t ** 2 + 3
+        for x in FINITE_PLACES[7]:
+            assert reduce_at(f * g, x) == reduce_at(f, x) * reduce_at(g, x)
+            assert reduce_at(f + g, x) == reduce_at(f, x) + reduce_at(g, x)
 
-    def test_cancellation_before_reduction(self):
-        t = t_poly(F5)
-        f = RationalFunction(t * (t - 1), t)  # equals t-1, integral at t=0
-        assert reduce_at(f, Place.rational(F5, 0)) == F5(-1)
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([5, 7]), st.data())
+    def test_residue_is_evaluation_at_image_of_t(self, p, data):
+        """f mod pi read in F_q[t]/(pi) equals the evaluation of f at the
+        image of t: f(a) at t = a, f(K.gen) in higher degree."""
+        F = PrimeField(p)
+        f = random_poly(F, data, data.draw(st.integers(0, 12)))
+        x = data.draw(st.sampled_from(FINITE_PLACES[p]))
+        if x.degree == 1:
+            expected = f(-F(x.pi.coeffs[0]))
+        else:
+            expected = f(residue_field(x).gen)
+        got = reduce_at(f, x)
+        assert got.field == expected.field and got.raw == expected.raw

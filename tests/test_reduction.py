@@ -2,9 +2,10 @@ import pytest
 
 from ffell.algebra import Poly, PrimeField, factor, legendre
 from ffell.curves import WeierstrassCurve
-from ffell.places import Place, residue_field
-from ffell.reduction import (KodairaSymbol, local_reduce, local_root_factor,
-                             split_type, table_row, tamagawa)
+from ffell.places import Place, reduce_at, residue_field
+from ffell.reduction import (KodairaSymbol, _div, local_reduce,
+                             local_root_factor, split_type, table_row,
+                             tamagawa)
 
 
 def intro_base(p):
@@ -37,6 +38,29 @@ def kodaira_multiset(curve):
         key = str(data.kodaira)
         out[key] = out.get(key, 0) + x.degree
     return out
+
+
+class TestExactDivision:
+    def test_pole_rejected(self):
+        # pi^k must divide f: a remainder is an error, at degree 1 and 2
+        F = PrimeField(5)
+        t = Poly.t(F)
+        for pi in (t, t ** 2 + 2):
+            g = t ** 3 + t + 1          # coprime to both places
+            f = pi ** 2 * g
+            for k in range(3):
+                assert _div(f, pi, k) == pi ** (2 - k) * g
+            for k in (3, 4):
+                with pytest.raises(ValueError):
+                    _div(f, pi, k)
+            with pytest.raises(ValueError):
+                _div(g, pi, 1)
+
+    def test_cancellation_before_reduction(self):
+        F = PrimeField(5)
+        t = Poly.t(F)
+        f = _div(t * (t - 1), t, 1)     # t(t-1)/t = t-1, integral at t=0
+        assert reduce_at(f, Place.rational(F, 0)) == F(-1)
 
 
 class TestKodairaSymbol:
