@@ -272,7 +272,10 @@ def lemma92(ell_max, ells, out):
             if name not in cache:
                 cache[name] = lfunction(E, inv)
             C = frobenius_matrix_mod_ell(E, q, cache[name], inv)
-            res = order_excludes(C, exponents, q)
+            try:
+                res = order_excludes(C, exponents, q)
+            except ValueError as exc:
+                raise click.UsageError(str(exc))
             row["attempts"].append({"witness": name,
                                     "failures": res["failures"]})
             if res["pass"]:

@@ -1,10 +1,10 @@
 """Weierstrass models y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q(t) (char >= 5),
-their standard quantities, quadratic twists, and exact fiber point counts."""
+their standard quantities and quadratic twists.  Fiber point counts come
+from the character sums in fastcount."""
 
 from __future__ import annotations
 
-from .algebra import FieldElement, Poly, PrimeField, legendre
-from .places import Place, residue_field
+from .algebra import FieldElement, Poly, PrimeField
 
 
 class WeierstrassCurve:
@@ -30,6 +30,11 @@ class WeierstrassCurve:
         F = PrimeField(p)
         return cls(Poly(F, a2), Poly(F, a4), Poly(F, a6))
 
+    def short_coefficients(self):
+        """(A, B) = (-c4/48, -c6/864): the model as y^2 = x^3 + A x + B."""
+        F = self.field
+        return -F(48).inverse() * self.c4, -F(864).inverse() * self.c6
+
     def is_isotrivial(self) -> bool:
         """Whether j = c4^3/Delta is constant, i.e. c4^3 is a constant
         multiple (possibly 0) of Delta."""
@@ -52,51 +57,3 @@ class WeierstrassCurve:
     def __repr__(self):
         return (f"WeierstrassCurve(p={self.field.p}, a2={self.a2!r}, "
                 f"a4={self.a4!r}, a6={self.a6!r})")
-
-
-def count_points_cubic(K, A2, A4, A6, method: str = "charsum") -> int:
-    """|E(K)| for y^2 = x^3 + A2 x^2 + A4 x + A6 over the finite field K.
-
-    'charsum' evaluates |E| = q + 1 + sum_u chi(f(u)); 'naive' counts the
-    solutions of y^2 = f(u) against a table of square roots.  Both are exact;
-    naive is the oracle.
-    """
-    q = K.order
-    if method == "charsum":
-        s = 0
-        for u in K.elements():
-            s += legendre(((u + A2) * u + A4) * u + A6)
-        return q + 1 + s
-    if method == "naive":
-        nsols = {}
-        for y in K.elements():
-            sq = (y * y).raw
-            nsols[sq] = nsols.get(sq, 0) + 1
-        total = 1  # point at infinity
-        for u in K.elements():
-            f = ((u + A2) * u + A4) * u + A6
-            total += nsols.get(f.raw, 0)
-        return total
-    raise ValueError(f"unknown method {method!r}")
-
-
-def count_fiber_points(curve: WeierstrassCurve, x: Place,
-                       method: str = "charsum") -> int:
-    """a_x(E) = q^deg(x) + 1 - |E_x(F_x)| at a place of good reduction.
-
-    Works on the minimal model at x, so non-minimal inputs are fine."""
-    from .reduction import local_reduce
-    data = local_reduce(curve, x)
-    if data.reduction_type != "good":
-        raise ValueError(f"{x!r} is a place of bad reduction")
-    ax = data.a_x
-    if method != "charsum":
-        K = residue_field(x) if not x.is_infinite else x.field
-        A2, A4, A6 = data.minimal_fiber
-        count = count_points_cubic(K, A2, A4, A6, method=method)
-        ax2 = K.order + 1 - count
-        assert ax2 == ax, "point counting paths disagree"
-    # Hasse bound sanity
-    qd = (x.field.p ** x.degree)
-    assert ax * ax <= 4 * qd
-    return ax

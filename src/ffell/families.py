@@ -127,6 +127,15 @@ class Family:
     ell_squares: tuple            # valid ell: these are squares mod ell
     ell_nonsquares: tuple         # ... and these are not
     waive_hypotheses: bool
+    # base models and valid_prime verdicts by (kind, p, n); per instance, as
+    # an edited declaration may be parsed again under the same fid
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
+
+    def _memoised(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def _check_n(self, n):
         if n < self.nmin or (self.nmax is not None and n > self.nmax):
@@ -162,13 +171,16 @@ class Family:
 
     def base_curve(self, p: int, n: int) -> WeierstrassCurve:
         F = PrimeField(p)
-        a2, a4, a6 = self.base_coeffs(n)
-        return WeierstrassCurve(_fp_poly(F, a2), _fp_poly(F, a4),
-                                _fp_poly(F, a6))
+        return self._memoised(("base", p, n), lambda: WeierstrassCurve(
+            *(_fp_poly(F, c) for c in self.base_coeffs(n))))
 
     def valid_prime(self, p: int, n: int) -> bool:
         """Whether p avoids the excluded set and all mod-p degeneracies."""
         self._check_n(n)
+        return self._memoised(("valid", p, n),
+                              lambda: self._valid_prime(p, n))
+
+    def _valid_prime(self, p: int, n: int) -> bool:
         if not is_prime(p) or p < 5 or self.exclude % p == 0:
             return False
         F = PrimeField(p)

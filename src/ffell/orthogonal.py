@@ -17,7 +17,12 @@ def _as_mod_array(entries, ell: int) -> np.ndarray:
 
 
 def mat_pow_mod(A: np.ndarray, e: int, ell: int) -> np.ndarray:
+    """A^e mod ell by int64 products, exact while n (ell-1)^2 < 2^63;
+    larger ell raises ValueError."""
     n = A.shape[0]
+    if n * (ell - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"ell={ell} is too large for exact int64 matrix "
+                         f"powers in dimension {n}: n (ell-1)^2 >= 2^63")
     R = np.eye(n, dtype=np.int64)
     B = A % ell
     while e:

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .algebra import FieldElement, Poly, legendre, roots
-from .curves import WeierstrassCurve, count_points_cubic
+from .curves import WeierstrassCurve
+from .fastcount import place_trace
 from .places import Place, reduce_at, residue_field
 
 INF = float("inf")
@@ -236,7 +237,6 @@ def _tamagawa_in_star(A, B, pi: Poly, x: Place, n_expected: int) -> int:
 
 
 def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
-    F = curve.field
     pi = x.pi
     K = residue_field(x)
     vc4 = _val(curve.c4, pi)
@@ -248,21 +248,14 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
     sym = _classify(a, b, d)
     row = table_row(sym)
 
-    inv48 = F(48).inverse()
-    inv864 = F(864).inverse()
-    A = _div(-inv48 * curve.c4, pi, 4 * s)
-    B = _div(-inv864 * curve.c6, pi, 6 * s)
+    A, B = curve.short_coefficients()
+    A, B = _div(A, pi, 4 * s), _div(B, pi, 6 * s)
 
-    minimal_fiber = None
     if sym.base == "I" and not sym.star and sym.n == 0:
-        Abar = reduce_at(A, x)
-        Bbar = reduce_at(B, x)
-        minimal_fiber = (K.zero, Abar, Bbar)
-        count = count_points_cubic(K, *minimal_fiber)
-        a_x = K.order + 1 - count
-        return LocalReductionData(x, sym, **row, c=1, reduction_type="good",
-                                  a_x=a_x, v_min_delta=d,
-                                  minimal_fiber=minimal_fiber)
+        return LocalReductionData(
+            x, sym, **row, c=1, reduction_type="good",
+            a_x=place_trace(pi, A, B), v_min_delta=d,
+            minimal_fiber=(K.zero, reduce_at(A, x), reduce_at(B, x)))
 
     if sym.base == "I" and not sym.star:  # multiplicative I_n, n >= 1
         n = sym.n

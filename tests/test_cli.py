@@ -183,3 +183,10 @@ class TestLemma92:
     def test_bad_ell_exits_2(self, runner):
         res = runner.invoke(main, ["lemma92", "--ell", "4"])
         assert res.exit_code == 2
+
+    def test_ell_beyond_int64_exits_2(self, runner):
+        # a prime above 2^32: int64 matrix powers mod ell would overflow
+        res = runner.invoke(main, ["lemma92", "--ell", "4294967311"])
+        assert res.exit_code == 2
+        assert "too large for exact int64" in res.output
+        assert "Traceback" not in res.output

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -196,6 +197,21 @@ class TestVerifyProfile:
         a = verify_profile("even_4mod8", 1, [11, 17], max_w=2, jobs=1)
         b = verify_profile("even_4mod8", 1, [11, 17], max_w=2, jobs=2)
         assert a.to_json() == b.to_json()
+
+    def test_base_model_built_once_per_prime(self, monkeypatch):
+        from ffell import families
+        built = []
+
+        def counting(a2, a4, a6):
+            built.append(a2.field.p)
+            return make(a2, a4, a6)
+
+        make = families.WeierstrassCurve
+        monkeypatch.setattr(families, "WeierstrassCurve", counting)
+        fam = dataclasses.replace(FAMILIES["intro_N5"])    # empty memo
+        rep = verify_profile(fam, 0, [5, 7], max_w=2)
+        assert rep.verdict and len(rep.cells) == 4
+        assert built == [5, 7]
 
     def test_kodaira_multiset_constant_over_w(self):
         rep = verify_profile("case2_3ns", 2, [11], max_w=None)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ffell.algebra import Poly, PrimeField
-from ffell.curves import WeierstrassCurve, count_fiber_points
+from ffell.curves import WeierstrassCurve
 from ffell.fastcount import batch_traces, field_tables
 from ffell.places import Place, count_places
+from oracles import count_fiber_points, count_points_cubic, orbit_representatives
 
 
 def intro_Em(p, m):
@@ -93,3 +95,85 @@ class TestBatchTraces:
         r1, t1 = batch_traces(E, 3)
         r2, t2 = batch_traces(E, 3)
         assert r1.tolist() == r2.tolist() and t1.tolist() == t2.tolist()
+
+
+# every (p, d) with p in {5, 7, 11} and q = p^d <= 2500
+FIELDS = [(p, d) for p in (5, 7, 11) for d in range(1, 5) if p ** d <= 2500]
+
+
+def element(K, code):
+    return K(K.decode(code)) if K.degree > 1 else K(code)
+
+
+def horner(f, beta):
+    acc = beta.field.zero
+    for cf in reversed(f.coeffs):
+        acc = acc * beta + beta.field(cf)
+    return acc
+
+
+class TestKernelAgainstScalarOracle:
+    """batch_traces against a FieldElement character sum (at every place
+    for q <= 125, at sampled places above), and the vectorised
+    representatives against the orbit walk."""
+
+    @pytest.mark.parametrize("shape", ["general", "a2=0", "a4=0", "a6=0",
+                                       "a2=a6=0", "sentinel"])
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_traces_and_representatives(self, shape, field, data):
+        p, d = field
+        F = PrimeField(p)
+
+        def poly(deg):
+            return Poly(F, data.draw(st.lists(st.integers(0, p - 1),
+                                              max_size=deg + 1)))
+
+        a = {"a2": poly(2), "a4": poly(4), "a6": poly(6)}
+        if shape == "sentinel":
+            # a2 = 0 and a4 = -c^2: u^2 + a4(beta) = 0 at u = +-c(beta), so
+            # the Zech lookup for u^2 + A hits its sentinel
+            c = poly(2)
+            assume(c)
+            a["a2"], a["a4"] = Poly(F, []), -(c * c)
+        for name in shape.split("="):
+            if name in a:
+                a[name] = Poly(F, [])
+        try:
+            E = WeierstrassCurve(a["a2"], a["a4"], a["a6"])
+        except ValueError:          # zero discriminant
+            assume(False)
+
+        T = field_tables(p, d)
+        K = T.field
+        oracle = orbit_representatives(T)
+        assert T.degree_d_representatives().tolist() == oracle.tolist()
+        reps, traces = batch_traces(E, d)
+        kept = set(reps.tolist())
+        assert kept <= set(oracle.tolist())
+        for c in set(oracle.tolist()) - kept:
+            assert not horner(E.delta, element(K, c))
+        if T.q <= 125 or not len(reps):
+            picks = range(len(reps))
+        else:
+            picks = data.draw(st.lists(st.integers(0, len(reps) - 1),
+                                       min_size=1, max_size=3))
+        for i in picks:
+            beta = element(K, int(reps[i]))
+            assert horner(E.delta, beta)
+            A2, A4, A6 = (horner(f, beta) for f in (E.a2, E.a4, E.a6))
+            assert traces[i] == K.order + 1 - count_points_cubic(K, A2, A4,
+                                                                A6)
+
+
+class TestMinimalModelCount:
+    def test_nonminimal_model_counts_through_kernel(self):
+        # twisting by pi^2 rescales the model by pi: it is non-minimal at pi
+        # and good on the minimal model there, of degree 1 and 2
+        F = PrimeField(7)
+        E = intro_Em(7, 2)
+        for pi in (Poly(F, [3, 1]), Poly(F, [1, 0, 1])):
+            x = Place.finite(F, pi)
+            Et = E.twist_by(pi * pi)
+            assert Et.delta.valuation(pi) == 12
+            assert count_fiber_points(Et, x) == count_fiber_points(E, x)

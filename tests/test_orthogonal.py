@@ -199,3 +199,15 @@ class TestOrderExcludes:
         A = np.array([[1, 1], [0, 1]], dtype=np.int64)
         P = mat_pow_mod(A, 12, 5)
         assert P.tolist() == [[1, 2], [0, 1]]
+
+    def test_pow_mod_exact_up_to_int64_bound(self):
+        ell = 2 ** 31          # 2 (ell-1)^2 < 2^63: the largest ell allowed
+        A = [[ell - 1, ell - 2], [3, ell - 1]]
+        want = [[1, 0], [0, 1]]
+        for _ in range(5):
+            want = [[sum(want[i][k] * A[k][j] for k in range(2)) % ell
+                     for j in range(2)] for i in range(2)]
+        A = np.array(A, dtype=np.int64)
+        assert mat_pow_mod(A, 5, ell).tolist() == want
+        with pytest.raises(ValueError):
+            mat_pow_mod(A, 5, ell + 1)
