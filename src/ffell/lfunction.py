@@ -26,7 +26,7 @@ from .algebra import Poly, SquareClass, _prime_factors, factor, is_prime
 from .fastcount import batch_traces
 from .orthogonal import det_mod
 from .places import Place
-from .reduction import LocalReductionData, local_reduce, local_root_factor
+from .reduction import local_reduce, local_root_factor
 
 
 @dataclass
@@ -131,41 +131,18 @@ class LFunctionPoly:
                 "epsilon": self.epsilon, "degree": self.degree}
 
 
-def _good_power_sums(traces: np.ndarray, qd: int, d: int, m: int) -> list:
-    """Contributions d*t_k summed over the places with the given traces:
-    out[i] for i = d*k <= m, with t_k = alpha^k + beta^k."""
-    out = [0] * (m + 1)
-    kmax = m // d
-    if kmax == 0 or len(traces) == 0:
-        return out
+def _add_power_sums(s: list, traces, c: int, d: int):
+    """Add d*t_k to s[d*k] for k >= 1, summed over places of degree d with
+    local factors 1 - a T + c T^2, a in traces: t_k = a t_{k-1} - c t_{k-2}
+    with t_0 = 2, t_1 = a is the k-th power sum of the inverse roots.  c is
+    q^d at a good place and 0 at a multiplicative one (one root, a)."""
     a = [int(v) for v in traces]
-    t_prev = [2] * len(a)
-    t_cur = list(a)
-    out[d] = d * sum(t_cur)
-    for k in range(2, kmax + 1):
-        t_next = [ai * tc - qd * tp for ai, tc, tp in zip(a, t_cur, t_prev)]
-        t_prev, t_cur = t_cur, t_next
-        out[d * k] = d * sum(t_cur)
-    return out
-
-
-def _bad_power_sums(data: LocalReductionData, q: int, m: int) -> list:
-    """As _good_power_sums for a single place described by local data: bad
-    places have one inverse root a_x (or none when additive), and a place
-    that is good on the minimal model uses the two-root recurrence."""
-    out = [0] * (m + 1)
-    d = data.place.degree
-    if data.reduction_type == "good":
-        qd = q ** d
-        t_prev, t_cur = 2, data.a_x
-        for k in range(1, m // d + 1):
-            out[d * k] = d * t_cur
-            t_prev, t_cur = t_cur, data.a_x * t_cur - qd * t_prev
-    elif data.reduction_type in ("split_mult", "nonsplit_mult"):
-        for k in range(1, m // d + 1):
-            out[d * k] = d * data.a_x ** k
-    # additive: all zero
-    return out
+    t_prev, t_cur = [2] * len(a), a
+    for k in range(1, (len(s) - 1) // d + 1):
+        if k > 1:
+            t_prev, t_cur = t_cur, [x * y - c * z
+                                    for x, y, z in zip(a, t_cur, t_prev)]
+        s[d * k] += d * sum(t_cur)
 
 
 def lfunction(curve, invariants: GlobalInvariants | None = None,
@@ -187,13 +164,13 @@ def lfunction(curve, invariants: GlobalInvariants | None = None,
         raise ValueError("direct_upto too small for the functional-equation fill")
 
     s = [0] * (m + 1)
-    for d_data in inv.local_data:
-        for i, v in enumerate(_bad_power_sums(d_data, q, m)):
-            s[i] += v
+    for x in inv.local_data:              # additive places contribute 0
+        if x.reduction_type != "additive":
+            d = x.place.degree
+            c = q ** d if x.reduction_type == "good" else 0
+            _add_power_sums(s, [x.a_x], c, d)
     for d in range(1, m + 1):
-        _, traces = batch_traces(curve, d)
-        for i, v in enumerate(_good_power_sums(traces, q ** d, d, m)):
-            s[i] += v
+        _add_power_sums(s, batch_traces(curve, d)[1], q ** d, d)
 
     L = [1]
     for n in range(1, m + 1):

@@ -5,6 +5,8 @@ tests for invertible matrices mod ell."""
 from __future__ import annotations
 
 import random
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -12,18 +14,20 @@ from .algebra import SquareClass, is_prime
 
 
 def _as_mod_array(entries, ell: int) -> np.ndarray:
-    M = np.asarray(entries, dtype=np.int64) % ell
-    return M
+    return np.asarray(entries, dtype=np.int64) % ell
+
+
+def _check_int64(n: int, ell: int, what: str):
+    """Raise ValueError unless n (ell-1)^2 < 2^63 (exact int64 products)."""
+    if n * (ell - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"ell={ell} is too large for exact int64 {what} "
+                         f"in dimension {n}: n (ell-1)^2 >= 2^63")
 
 
 def mat_pow_mod(A: np.ndarray, e: int, ell: int) -> np.ndarray:
-    """A^e mod ell by int64 products, exact while n (ell-1)^2 < 2^63;
-    larger ell raises ValueError."""
-    n = A.shape[0]
-    if n * (ell - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"ell={ell} is too large for exact int64 matrix "
-                         f"powers in dimension {n}: n (ell-1)^2 >= 2^63")
-    R = np.eye(n, dtype=np.int64)
+    """A^e mod ell by int64 products; larger ell raises (_check_int64)."""
+    _check_int64(A.shape[0], ell, "matrix powers")
+    R = np.eye(A.shape[0], dtype=np.int64)
     B = A % ell
     while e:
         if e & 1:
@@ -33,43 +37,25 @@ def mat_pow_mod(A: np.ndarray, e: int, ell: int) -> np.ndarray:
     return R
 
 
-def _row_reduce(M, ell: int, reduced: bool = False):
-    """Row echelon form of M mod ell (ell prime) by Gaussian elimination,
-    with every pivot scaled to 1; the reduced form (zeros above the pivots
-    too) when `reduced`.
-
-    Returns (rows, pivot columns, d), where d is the product of the pivots
-    met, times -1 per row swap: det(M) mod ell when M is square and
-    invertible."""
-    A = [[int(v) % ell for v in row] for row in M]
-    n_rows = len(A)
-    pivots = []
-    d = 1
-    for c in range(len(A[0]) if A else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, n_rows) if A[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            d = -d
-        d = d * A[r][c] % ell
-        inv = pow(A[r][c], ell - 2, ell)
-        A[r] = [v * inv % ell for v in A[r]]
-        for i in range(0 if reduced else r + 1, n_rows):
-            if i != r and A[i][c]:
-                m = A[i][c]
-                A[i] = [(v - m * w) % ell for v, w in zip(A[i], A[r])]
-        pivots.append(c)
-        if len(pivots) == n_rows:
-            break
-    return A, pivots, d
-
-
 def det_mod(M: np.ndarray, ell: int) -> int:
-    """Determinant mod ell by Gaussian elimination (ell prime)."""
-    A, pivots, d = _row_reduce(M, ell)
-    return d if len(pivots) == len(A) else 0
+    """Determinant mod ell (ell prime) by Gaussian elimination on ints."""
+    A = [[int(v) % ell for v in row] for row in M]
+    n = len(A)
+    d = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if A[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            d = -d
+        d = d * A[c][c] % ell
+        inv = pow(A[c][c], ell - 2, ell)
+        for i in range(c + 1, n):
+            if A[i][c]:
+                m = A[i][c] * inv % ell
+                A[i] = [(v - m * w) % ell for v, w in zip(A[i], A[c])]
+    return d
 
 
 def square_class_mod(a: int, ell: int) -> SquareClass:
@@ -80,7 +66,8 @@ def square_class_mod(a: int, ell: int) -> SquareClass:
 
 
 class OrthogonalSpace:
-    """F_ell^dim with a non-degenerate symmetric bilinear pairing."""
+    """F_ell^dim with a non-degenerate symmetric bilinear pairing; its int64
+    products are exact while dim (ell-1)^2 < 2^63, and larger ell raises."""
 
     def __init__(self, ell: int, gram):
         if not is_prime(ell) or ell < 5:
@@ -89,21 +76,31 @@ class OrthogonalSpace:
         G = _as_mod_array(gram, ell)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError("gram matrix must be square")
+        _check_int64(G.shape[0], ell, "pairings")
         if not np.array_equal(G, G.T):
             raise ValueError("gram matrix must be symmetric")
         if det_mod(G, ell) == 0:
             raise ValueError("gram matrix must be non-degenerate")
-        self.gram = G
+        G.flags.writeable = False   # read-only: `basis` is cached
+        self._gram = G
         self.dim = G.shape[0]
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self._gram
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Columns: an orthogonal basis of the space, built at first use."""
+        return _orthogonal_basis(self)
 
     @classmethod
     def standard(cls, ell: int, dim: int) -> "OrthogonalSpace":
         return cls(ell, np.eye(dim, dtype=np.int64))
 
     def pairing(self, u, v) -> int:
-        u = _as_mod_array(u, self.ell)
-        v = _as_mod_array(v, self.ell)
-        return int(u @ self.gram @ v % self.ell)
+        u, v = _as_mod_array(u, self.ell), _as_mod_array(v, self.ell)
+        return int((u @ self.gram % self.ell) @ v % self.ell)
 
     def disc(self) -> SquareClass:
         """Discriminant class: the square class of det(gram)."""
@@ -118,10 +115,11 @@ class OrthMatrix:
 
     def __init__(self, space: OrthogonalSpace, entries):
         self.space = space
-        A = _as_mod_array(entries, space.ell)
+        ell = space.ell
+        A = _as_mod_array(entries, ell)
         if A.shape != space.gram.shape:
             raise ValueError("matrix/space dimension mismatch")
-        if not np.array_equal(A.T @ space.gram @ A % space.ell, space.gram):
+        if not np.array_equal(A.T @ space.gram % ell @ A % ell, space.gram):
             raise ValueError("matrix does not preserve the pairing")
         self.entries = A
 
@@ -158,108 +156,63 @@ def reflection(space: OrthogonalSpace, v) -> OrthMatrix:
     if c == 0:
         raise ValueError("cannot reflect in an isotropic vector")
     coef = 2 * pow(c, ell - 2, ell) % ell
-    R = (np.eye(space.dim, dtype=np.int64)
-         - coef * np.outer(v, space.gram @ v % ell)) % ell
-    return OrthMatrix(space, R)
+    P = coef * (np.outer(v, space.gram @ v % ell) % ell) % ell
+    return OrthMatrix(space, np.eye(space.dim, dtype=np.int64) - P)
 
 
 def _orthogonal_basis(space: OrthogonalSpace) -> np.ndarray:
-    """Columns form a basis in which the pairing is diagonal (char != 2)."""
+    """Columns form a basis in which the pairing is diagonal (char != 2).
+
+    `work` is a basis of a non-degenerate subspace.  Each step takes an
+    anisotropic v = w_i, or else v = w_i + w_j (<v,v> = 2<w_i,w_j> != 0 for
+    some pair), drops w_i and projects the rest onto v^perp, a basis of it."""
     ell = space.ell
-    n = space.dim
+    work = list(np.eye(space.dim, dtype=np.int64))
     basis = []
-    work = [np.eye(n, dtype=np.int64)[i] for i in range(n)]
     while work:
-        # find a vector with <v,v> != 0; if all are isotropic, some v+w works
-        v = None
-        for cand in work:
-            if int(cand @ space.gram @ cand % ell):
-                v = cand
-                break
-        if v is None:
-            for i in range(len(work)):
-                for j in range(i + 1, len(work)):
-                    cand = (work[i] + work[j]) % ell
-                    if int(cand @ space.gram @ cand % ell):
-                        v = cand
-                        break
-                if v is not None:
-                    break
-        if v is None:
-            raise AssertionError("degenerate pairing on complement")
+        sums = ((i, (work[i] + work[j]) % ell) for i in range(len(work))
+                for j in range(i + 1, len(work)))
+        i, v = next((i, v) for i, v in chain(enumerate(work), sums)
+                    if space.pairing(v, v))
+        del work[i]
+        cinv = pow(space.pairing(v, v), ell - 2, ell)
+        work = [(w - space.pairing(w, v) * cinv % ell * v) % ell
+                for w in work]
         basis.append(v)
-        c = int(v @ space.gram @ v % ell)
-        cinv = pow(c, ell - 2, ell)
-        new_work = []
-        for w in work:
-            proj = int(w @ space.gram @ v % ell) * cinv % ell
-            w2 = (w - proj * v) % ell
-            if np.any(w2):
-                new_work.append(w2)
-        # keep an independent spanning subset of the projections
-        pruned = []
-        seen_rows = np.zeros((0, n), dtype=np.int64)
-        for w in new_work:
-            trial = np.vstack([seen_rows, w])
-            if _rank_mod(trial, ell) > seen_rows.shape[0]:
-                seen_rows = trial
-                pruned.append(w)
-        work = pruned
-    M = np.stack(basis, axis=1) % ell
-    assert _rank_mod(M.T, ell) == n
-    return M
-
-
-def _rank_mod(M: np.ndarray, ell: int) -> int:
-    return len(_row_reduce(M, ell)[1])
-
-
-def _inverse_mod(M: np.ndarray, ell: int) -> np.ndarray:
-    n = M.shape[0]
-    A, pivots, _ = _row_reduce(np.concatenate(
-        [M % ell, np.eye(n, dtype=np.int64)], axis=1), ell, reduced=True)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return np.array([row[n:] for row in A], dtype=np.int64)
+    B = np.stack(basis, axis=1)
+    D = B.T @ space.gram % ell @ B % ell
+    assert np.array_equal(D, np.diag(np.diag(D))) and np.all(np.diag(D))
+    B.flags.writeable = False
+    return B
 
 
 def spinor_norm(A: OrthMatrix) -> SquareClass:
     """Spinor norm via Cartan-Dieudonne reflection decomposition.
 
-    Works in an orthogonalized basis; peels off one basis vector at a time,
-    using the vector w = Ae - e when anisotropic and the two-reflection step
-    through Ae + e otherwise (one of the two is always anisotropic because
-    <w,w> + <Ae+e,Ae+e> = 4<e,e> != 0).
-    """
+    Peels off the vectors e of `space.basis` in turn, in the original
+    coordinates, by the reflection in w = Ae - e when anisotropic and the
+    two-reflection step through Ae + e otherwise (<w,w> + <Ae+e,Ae+e> =
+    4<e,e> != 0); both fix the basis vectors already peeled."""
     space = A.space
     ell = space.ell
-    B = _orthogonal_basis(space)
-    Binv = _inverse_mod(B, ell)
-    M = Binv @ A.entries @ B % ell
-    D = B.T @ space.gram @ B % ell
-    diag = OrthogonalSpace(ell, D)
-    n = space.dim
     spin = SquareClass(False)
-
-    work = OrthMatrix(diag, M)
-    for i in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[i] = 1
+    work = A
+    for e in space.basis.T:
         img = work.entries @ e % ell
         if np.array_equal(img, e):
             continue
         w = (img - e) % ell
-        if diag.pairing(w, w):
-            r = reflection(diag, w)
-            spin = spin * square_class_mod(diag.pairing(w, w), ell)
-            work = r @ work
+        c = space.pairing(w, w)
+        if c:
+            spin = spin * square_class_mod(c, ell)
+            work = reflection(space, w) @ work
         else:
             u = (img + e) % ell
-            spin = (spin * square_class_mod(diag.pairing(u, u), ell)
-                    * square_class_mod(diag.pairing(e, e), ell))
-            work = reflection(diag, e) @ (reflection(diag, u) @ work)
+            spin = (spin * square_class_mod(space.pairing(u, u), ell)
+                    * square_class_mod(space.pairing(e, e), ell))
+            work = reflection(space, e) @ (reflection(space, u) @ work)
         assert np.array_equal(work.entries @ e % ell, e)
-    assert np.array_equal(work.entries, np.eye(n, dtype=np.int64))
+    assert np.array_equal(work.entries, np.eye(space.dim, dtype=np.int64))
     return spin
 
 
@@ -287,10 +240,9 @@ def order_excludes(A: np.ndarray, exponents, ell: int) -> dict:
     where A^e = I.
     """
     A = _as_mod_array(A, ell)
-    n = A.shape[0]
     if det_mod(A, ell) == 0:
         raise ValueError("matrix not invertible mod ell")
-    I = np.eye(n, dtype=np.int64)
+    I = np.eye(A.shape[0], dtype=np.int64)
     failures = [e for e in sorted(exponents)
                 if np.array_equal(mat_pow_mod(A, e, ell), I)]
     return {"pass": not failures, "failures": failures}

@@ -1,12 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ffell.algebra import SquareClass
-from ffell.orthogonal import (OrthMatrix, OrthogonalSpace, _inverse_mod,
-                              _rank_mod, det_mod, identity,
+from ffell import orthogonal
+from ffell.algebra import SquareClass, is_prime
+from ffell.orthogonal import (OrthMatrix, OrthogonalSpace, det_mod, identity,
                               mat_pow_mod, omega_membership, order_excludes,
                               random_orthogonal, reflection, spinor_norm,
                               spinor_zassenhaus, square_class_mod)
@@ -53,24 +54,16 @@ class TestRowReduction:
         rng = random.Random(ell)
         singular = 0
         for n in range(1, 7):
-            I = np.eye(n, dtype=np.int64)
             for _ in range(25):
                 M = np.array([[rng.randrange(-30, 31) for _ in range(n)]
                               for _ in range(n)], dtype=np.int64)
                 d = det_mod(M, ell)
                 assert d == fraction_det(M) % ell
-                assert (_rank_mod(M, ell) == n) == (d != 0)
-                if d:
-                    assert np.array_equal(M @ _inverse_mod(M, ell) % ell, I)
-                else:
-                    singular += 1
-                    with pytest.raises(ValueError):
-                        _inverse_mod(M, ell)
+                singular += d == 0
                 if n >= 2:
                     R = M.copy()
                     R[-1] = R[0]                # a repeated row
                     assert det_mod(R, ell) == 0
-                    assert _rank_mod(R, ell) == _rank_mod(M[:-1], ell) < n
         assert singular                         # both branches were met
 
 
@@ -91,6 +84,110 @@ class TestSpace:
     def test_disc_is_gram_det_class(self):
         sp = OrthogonalSpace(11, np.diag([2, 1, 1]))
         assert sp.disc() == square_class_mod(2, 11)
+
+
+def int_pairing(G, u, v, ell) -> int:
+    """<u, v> with Python ints."""
+    return sum(int(u[i]) * int(G[i][j]) * int(v[j]) for i in range(len(u))
+               for j in range(len(v))) % ell
+
+
+HYPERBOLIC = [
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],                  # H + <1>
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],  # H + H
+]
+
+
+class TestOrthogonalBasis:
+    @staticmethod
+    def assert_orthogonal_basis(sp):
+        B = sp.basis
+        D = B.T @ sp.gram @ B % sp.ell
+        assert np.array_equal(D, np.diag(np.diag(D)))
+        assert all(np.diag(D)) and det_mod(B, sp.ell)
+
+    def test_diagonalizes_every_space(self):
+        for sp, _ in spaces(7):
+            self.assert_orthogonal_basis(sp)
+
+    @pytest.mark.parametrize("ell", [5, 7, 11, 13])
+    @pytest.mark.parametrize("gram", HYPERBOLIC, ids=["H+<1>", "H+H"])
+    def test_hyperbolic(self, ell, gram):
+        # every standard basis vector of H is isotropic, so the basis needs
+        # sums w_i + w_j
+        sp = OrthogonalSpace(ell, gram)
+        self.assert_orthogonal_basis(sp)
+        rng = random.Random(ell)
+        compared = 0
+        for _ in range(40):
+            A = random_orthogonal(sp, rng)
+            assert spinor_norm(A @ A).trivial
+            try:
+                z = spinor_zassenhaus(A)
+            except ValueError:
+                continue
+            assert z == spinor_norm(A)
+            compared += 1
+        assert compared
+
+    def test_built_once_per_space(self, monkeypatch):
+        built = []
+        build = orthogonal._orthogonal_basis
+        monkeypatch.setattr(orthogonal, "_orthogonal_basis",
+                            lambda sp: built.append(sp) or build(sp))
+        rng = random.Random(8)
+        sps = [OrthogonalSpace(11, g) for g in HYPERBOLIC]
+        for sp in sps:
+            for _ in range(5):
+                spinor_norm(random_orthogonal(sp, rng))
+                omega_membership(random_orthogonal(sp, rng))
+        assert built == sps
+
+    def test_gram_is_read_only(self):
+        sp = OrthogonalSpace.standard(7, 3)
+        with pytest.raises(ValueError):
+            sp.gram[0, 0] = 2
+        with pytest.raises(AttributeError):
+            sp.gram = np.eye(3, dtype=np.int64)
+        with pytest.raises(ValueError):
+            sp.basis[0, 0] = 2
+
+
+class TestInt64Bound:
+    """Pairings and reflections are exact in int64 while
+    dim (ell-1)^2 < 2^63; the constructor refuses larger ell."""
+
+    @staticmethod
+    def primes_around_bound(n):
+        lo = math.isqrt((2 ** 63 - 1) // n) + 1     # n (lo-1)^2 < 2^63
+        assert n * (lo - 1) ** 2 < 2 ** 63 <= n * lo ** 2
+        below = next(p for p in range(lo, 0, -1) if is_prime(p))
+        above = next(p for p in range(lo + 1, 2 * lo) if is_prime(p))
+        return below, above
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pairing_exact_below_and_refused_above(self, n):
+        below, above = self.primes_around_bound(n)
+        rng = random.Random(n)
+        gram = np.diag([1, 3, 5, 7][:n]).astype(np.int64)
+        gram[0, 1] = gram[1, 0] = below - 2
+        sp = OrthogonalSpace(below, gram)
+        for _ in range(10):
+            u, v = ([below - 1 - rng.randrange(3) for _ in range(n)]
+                    for _ in range(2))
+            assert sp.pairing(u, v) == int_pairing(sp.gram, u, v, below)
+            if sp.pairing(v, v):
+                r = reflection(sp, v)             # checks r^T G r = G
+                assert np.array_equal(r.entries @ v % below,
+                                      (-np.array(v)) % below)
+        with pytest.raises(ValueError, match="too large for exact int64"):
+            OrthogonalSpace(above, gram)
+
+    def test_former_overflow_is_refused(self):
+        # at ell = 2^31 - 1, v = (ell-6, ell-6, ell-6) and diag(1, 3, 5), the
+        # unreduced int64 pairing <v, v> came out as 316, not 324
+        with pytest.raises(ValueError):
+            OrthogonalSpace(2 ** 31 - 1, np.diag([1, 3, 5]))
 
 
 class TestReflection:
