@@ -1,9 +1,13 @@
-"""Exact arithmetic in F_p, F_{p^d} and the polynomial rings over them.
+"""Exact arithmetic in F_p, F_{p^d} and the polynomial ring F_p[t].
 
 Elements of a prime field are stored as ints in [0, p); elements of an
-extension field as tuples of ints (coefficients of the residue polynomial,
-ascending).  Field objects own the arithmetic on these raw values; the
+extension field F_{p^d} = F_p[z]/(m) as tuples of ints (coefficients of the
+residue polynomial, ascending), multiplied and inverted with the same F_p[t]
+helpers as Poly.  Field objects own the arithmetic on these raw values; the
 FieldElement wrapper supplies operators on top of that.
+
+Polynomials are over F_p only: ascending lists of ints with the reduction
+mod p inline, no field object per coefficient.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ class PrimeField:
         if p in (2, 3):
             raise ValueError("characteristic 2 and 3 are not supported")
         self.p = p
-        self.char = p
         self.order = p
         self.degree = 1
 
@@ -118,86 +121,84 @@ class PrimeField:
         return FieldElement(self, 1)
 
 
-# -- raw polynomial helpers over a field (tuples/lists of raw values) -------
+# -- polynomials over F_p: ascending lists of ints in [0, p) ----------------
 
-def _strip(F, cs):
+def _strip(cs):
     cs = list(cs)
-    while cs and F.is_zero(cs[-1]):
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
 
-def _poly_add(F, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero_raw
-        y = b[i] if i < len(b) else F.zero_raw
-        out.append(F.add(x, y))
-    return _strip(F, out)
+def _poly_add(p, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] = (out[i] + y) % p
+    return _strip(out)
 
 
-def _poly_sub(F, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero_raw
-        y = b[i] if i < len(b) else F.zero_raw
-        out.append(F.sub(x, y))
-    return _strip(F, out)
+def _poly_sub(p, a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % p
+    return _strip(out)
 
 
-def _poly_mul(F, a, b):
+def _poly_mul(p, a, b):
+    """Product with the raw sums reduced once, at the end."""
     if not a or not b:
         return []
-    out = [F.zero_raw] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if F.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _strip(F, out)
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return _strip([c % p for c in out])
 
 
-def _poly_divmod(F, a, b):
+def _poly_divmod(p, a, b):
+    """Quotient and remainder; the working row is reduced only where read."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [F.zero_raw] * max(0, len(a) - len(b) + 1)
-    inv_lead = F.inv(b[-1])
-    while len(a) >= len(b):
-        c = F.mul(a[-1], inv_lead)
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = F.sub(a[k + i], F.mul(c, y))
-        a = _strip(F, a)
-        if not a:
-            break
-    return _strip(F, q), a
+    n = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    q = [0] * max(0, len(a) - n)
+    for k in range(len(a) - n - 1, -1, -1):
+        c = a[k + n] * inv_lead % p
+        if c:
+            q[k] = c
+            for i in range(n):
+                a[k + i] -= c * b[i]
+    return _strip(q), _strip([c % p for c in a[:n]])
 
 
-def _poly_mod(F, a, b):
-    return _poly_divmod(F, a, b)[1]
+def _poly_mod(p, a, b):
+    return _poly_divmod(p, a, b)[1]
 
 
-def _poly_gcd(F, a, b):
+def _poly_gcd(p, a, b):
+    """Monic gcd (the zero list when both inputs are zero)."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _poly_mod(F, a, b)
+        a, b = b, _poly_mod(p, a, b)
     if a:
-        inv = F.inv(a[-1])
-        a = [F.mul(c, inv) for c in a]
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
     return a
 
 
-def _poly_powmod(F, a, e, m):
-    r = [F.one_raw]
-    a = _poly_mod(F, a, m)
+def _poly_powmod(p, a, e, m):
+    r = [1]
+    a = _poly_mod(p, a, m)
     while e > 0:
         if e & 1:
-            r = _poly_mod(F, _poly_mul(F, r, a), m)
-        a = _poly_mod(F, _poly_mul(F, a, a), m)
+            r = _poly_mod(p, _poly_mul(p, r, a), m)
+        a = _poly_mod(p, _poly_mul(p, a, a), m)
         e >>= 1
     return r
 
@@ -212,7 +213,6 @@ class ExtField:
         d = len(modulus) - 1
         if d < 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        self.char = base.p
         self.degree = d
         self.order = base.p ** d
 
@@ -238,8 +238,8 @@ class ExtField:
         return self._make(list(v))
 
     def _make(self, cs):
-        cs = [c % self.base.p for c in cs]
-        cs = _strip(self.base, _poly_mod(self.base, cs, list(self.modulus)))
+        p = self.base.p
+        cs = _poly_mod(p, [c % p for c in cs], self.modulus)
         return tuple(cs) + (0,) * (self.degree - len(cs))
 
     @property
@@ -267,8 +267,8 @@ class ExtField:
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        F = self.base
-        prod = _poly_mod(F, _poly_mul(F, list(a), list(b)), list(self.modulus))
+        p = self.base.p
+        prod = _poly_mod(p, _poly_mul(p, a, b), self.modulus)
         return tuple(prod) + (0,) * (self.degree - len(prod))
 
     def is_zero(self, a):
@@ -277,17 +277,16 @@ class ExtField:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in base[z]
-        F = self.base
-        r0, r1 = list(self.modulus), _strip(F, list(a))
-        s0, s1 = [], [F.one_raw]
+        # extended Euclid in F_p[z]
+        p = self.base.p
+        r0, r1 = list(self.modulus), _strip(a)
+        s0, s1 = [], [1]
         while r1:
-            q, r = _poly_divmod(F, r0, r1)
+            q, r = _poly_divmod(p, r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(F, s0, _poly_mul(F, q, s1))
-        inv_lead = F.inv(r0[-1])
-        s0 = [F.mul(c, inv_lead) for c in s0]
-        return self._make(s0)
+            s0, s1 = s1, _poly_sub(p, s0, _poly_mul(p, q, s1))
+        inv_lead = pow(r0[-1], p - 2, p)
+        return self._make([c * inv_lead for c in s0])
 
     def pow(self, a, e):
         if e < 0:
@@ -436,7 +435,7 @@ def legendre(a) -> int:
 
 
 class Poly:
-    """Polynomial over a PrimeField or ExtField, dense ascending coefficients.
+    """Polynomial over a PrimeField F_p, dense ascending int coefficients.
 
     deg(0) is -infinity (float('-inf')).
     """
@@ -445,25 +444,18 @@ class Poly:
 
     def __init__(self, field, coeffs):
         self.field = field
-        cs = []
-        for c in coeffs:
-            cs.append(field.coerce(c))
-        self.coeffs = tuple(_strip(field, cs))
+        self.coeffs = tuple(_strip([field.coerce(c) for c in coeffs]))
 
     @classmethod
     def _raw(cls, field, raw_coeffs):
         p = object.__new__(cls)
         p.field = field
-        p.coeffs = tuple(_strip(field, list(raw_coeffs)))
+        p.coeffs = tuple(_strip(raw_coeffs))
         return p
 
     @classmethod
     def t(cls, field):
-        return cls._raw(field, [field.zero_raw, field.one_raw])
-
-    @classmethod
-    def const(cls, field, c):
-        return cls(field, [c])
+        return cls._raw(field, [0, 1])
 
     @property
     def degree(self):
@@ -493,24 +485,25 @@ class Poly:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return Poly._raw(self.field, _poly_add(self.field, self.coeffs, o.coeffs))
+        return Poly._raw(self.field, _poly_add(self.field.p, self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return Poly._raw(self.field, _poly_sub(self.field, self.coeffs, o.coeffs))
+        return Poly._raw(self.field, _poly_sub(self.field.p, self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return Poly._raw(self.field, _poly_sub(self.field, o.coeffs, self.coeffs))
+        return Poly._raw(self.field, _poly_sub(self.field.p, o.coeffs, self.coeffs))
 
     def __neg__(self):
-        return Poly._raw(self.field, [self.field.neg(c) for c in self.coeffs])
+        p = self.field.p
+        return Poly._raw(self.field, [-c % p for c in self.coeffs])
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return Poly._raw(self.field, _poly_mul(self.field, self.coeffs, o.coeffs))
+        return Poly._raw(self.field, _poly_mul(self.field.p, self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -526,7 +519,7 @@ class Poly:
 
     def __divmod__(self, other):
         o = self._coerce(other)
-        q, r = _poly_divmod(self.field, self.coeffs, o.coeffs)
+        q, r = _poly_divmod(self.field.p, self.coeffs, o.coeffs)
         return Poly._raw(self.field, q), Poly._raw(self.field, r)
 
     def __floordiv__(self, other):
@@ -543,19 +536,17 @@ class Poly:
     def monic(self) -> "Poly":
         if not self.coeffs:
             return self
-        inv = self.field.inv(self.coeffs[-1])
-        return Poly._raw(self.field, [self.field.mul(c, inv) for c in self.coeffs])
+        p = self.field.p
+        inv = pow(self.coeffs[-1], p - 2, p)
+        return Poly._raw(self.field, [c * inv % p for c in self.coeffs])
 
     def derivative(self) -> "Poly":
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            m = i % F.char
-            out.append(F.mul(F.coerce(m), self.coeffs[i]))
-        return Poly._raw(F, out)
+        p = self.field.p
+        return Poly._raw(self.field, [i * c % p for i, c in
+                                      enumerate(self.coeffs) if i])
 
     def __call__(self, x):
-        """Evaluate; x may live in the base field or any ExtField over it."""
+        """Evaluate; x may live in F_p or in any ExtField over it."""
         if isinstance(x, FieldElement):
             G = x.field
         else:
@@ -571,7 +562,7 @@ class Poly:
 
     def gcd(self, other) -> "Poly":
         o = self._coerce(other)
-        return Poly._raw(self.field, _poly_gcd(self.field, self.coeffs, o.coeffs))
+        return Poly._raw(self.field, _poly_gcd(self.field.p, self.coeffs, o.coeffs))
 
     def valuation(self, pi: "Poly") -> int:
         """Multiplicity of the irreducible pi in self (self nonzero)."""
@@ -590,32 +581,30 @@ class Poly:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*t^{i}" for i, c in enumerate(self.coeffs)
-                          if not self.field.is_zero(c))
+                          if c)
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: f irreducible over its field of definition."""
-    F = f.field
+    """Rabin's test: f irreducible over F_p."""
+    p = f.field.p
     d = f.degree
     if d == float("-inf") or d == 0:
         return False
     if d == 1:
         return True
-    q = F.order
     m = list(f.monic().coeffs)
-    t = [F.zero_raw, F.one_raw]
-    # x^(q^d) == x mod f
+    t = [0, 1]
+    # x^(p^d) == x mod f
     h = t
     for _ in range(d):
-        h = _poly_powmod(F, h, q, m)
-    if _strip(F, _poly_sub(F, h, t)) != []:
+        h = _poly_powmod(p, h, p, m)
+    if _poly_sub(p, h, t):
         return False
-    for r in {r for r in _prime_factors(d)}:
-        e = d // r
+    for r in set(_prime_factors(d)):
         h = t
-        for _ in range(e):
-            h = _poly_powmod(F, h, q, m)
-        if _poly_gcd(F, _poly_sub(F, h, t), m) != [F.one_raw]:
+        for _ in range(d // r):
+            h = _poly_powmod(p, h, p, m)
+        if _poly_gcd(p, _poly_sub(p, h, t), m) != [1]:
             return False
     return True
 
@@ -634,21 +623,14 @@ def _prime_factors(n: int):
 
 
 def _frobenius_root(f: Poly) -> Poly:
-    """For f of the form h(t^p), return the p-th root (coefficientwise c^(1/p))."""
-    F = f.field
-    p = F.char
-    e = F.order // p
-    cs = []
-    for i in range(0, len(f.coeffs), p):
-        cs.append(F.pow(f.coeffs[i], e))
-    return Poly._raw(F, cs)
+    """For f of the form h(t^p), return h (over F_p, c^(1/p) = c)."""
+    return Poly._raw(f.field, f.coeffs[::f.field.p])
 
 
 def _squarefree_decomposition(f: Poly):
     """Yield (g, m) with f (monic) = prod g^m over the yielded pairs,
     each g squarefree; standard char-p algorithm."""
-    F = f.field
-    p = F.char
+    p = f.field.p
 
     def rec(g: Poly, outer: int):
         if g.degree == 0:
@@ -679,8 +661,8 @@ def _squarefree_decomposition(f: Poly):
 def _distinct_degree(f: Poly):
     """f monic squarefree -> yield (product of its irreducibles of degree d, d)."""
     F = f.field
-    q = F.order
-    t = [F.zero_raw, F.one_raw]
+    p = F.p
+    t = [0, 1]
     h = t
     d = 0
     rest = f
@@ -689,35 +671,30 @@ def _distinct_degree(f: Poly):
         if 2 * d > rest.degree:
             yield rest, rest.degree
             return
-        h = _poly_powmod(F, h, q, list(rest.coeffs))  # h = t^(q^d) mod rest
-        g = Poly._raw(F, _poly_gcd(F, _poly_sub(F, h, t), list(rest.coeffs)))
+        h = _poly_powmod(p, h, p, rest.coeffs)  # h = t^(p^d) mod rest
+        g = Poly._raw(F, _poly_gcd(p, _poly_sub(p, h, t), rest.coeffs))
         if g.degree >= 1:
-            yield g.monic(), d
+            yield g, d
             rest = rest // g
-            h = _poly_mod(F, h, list(rest.coeffs))
+            h = _poly_mod(p, h, rest.coeffs)
 
 
 def _equal_degree_split(f: Poly, d: int, rng: random.Random):
     """Cantor-Zassenhaus: f monic squarefree, all factors of degree d."""
     F = f.field
+    p = F.p
     n = f.degree
     if n == d:
         return [f]
-    q = F.order
     while True:
-        cs = [rng.randrange(F.order) for _ in range(n)]
-        if isinstance(F, ExtField):
-            a = Poly._raw(F, [F.decode(c) for c in cs])
-        else:
-            a = Poly._raw(F, cs)
+        a = Poly._raw(F, [rng.randrange(p) for _ in range(n)])
         if a.degree < 1:
             continue
         g = f.gcd(a)
         if 0 < g.degree < n:
             pieces = [g, f // g]
             break
-        b = Poly._raw(F, _poly_powmod(F, list(a.coeffs), (q ** d - 1) // 2,
-                                      list(f.coeffs)))
+        b = Poly._raw(F, _poly_powmod(p, a.coeffs, (p ** d - 1) // 2, f.coeffs))
         g = f.gcd(b - 1)
         if 0 < g.degree < n:
             pieces = [g, f // g]
@@ -736,39 +713,15 @@ def factor(f: Poly, seed: int = 0):
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    F = f.field
     lead = f.lead()
     out = []
-    rng = random.Random(hash((seed, F.order, f.coeffs)))
+    rng = random.Random(hash((seed, f.field.p, f.coeffs)))
     for g, mult in _squarefree_decomposition(f):
         for h, d in _distinct_degree(g.monic()):
             for irr in _equal_degree_split(h.monic(), d, rng):
                 out.append((irr, mult))
-    out.sort(key=lambda fm: (fm[0].degree, [_key(F, c) for c in fm[0].coeffs]))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return lead, out
-
-
-def _key(F, raw):
-    return F.encode(raw) if isinstance(F, ExtField) else raw
-
-
-def roots(f: Poly):
-    """Roots of f in its field of definition (without multiplicity)."""
-    F = f.field
-    if not f:
-        raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return []
-    # gcd with x^q - x isolates the split part
-    q = F.order
-    xq = Poly._raw(F, _poly_powmod(F, [F.zero_raw, F.one_raw], q, list(f.monic().coeffs)))
-    g = f.monic().gcd(xq - Poly.t(F))
-    out = []
-    _, facs = factor(g)
-    for irr, _ in facs:
-        if irr.degree == 1:
-            out.append(-FieldElement(F, irr.coeffs[0]))
-    return out
 
 
 def build_extension(p: int, d: int) -> PrimeField | ExtField:

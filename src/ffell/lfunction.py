@@ -121,11 +121,6 @@ class LFunctionPoly:
     def value_at_inverse_q(self) -> Fraction:
         return self(Fraction(1, self.q))
 
-    def scaled_coefficients(self):
-        """Coefficients of L(T/q) as exact Fractions."""
-        return tuple(Fraction(a, self.q ** i)
-                     for i, a in enumerate(self.coefficients))
-
     def to_json(self):
         return {"coefficients": list(self.coefficients), "q": self.q,
                 "epsilon": self.epsilon, "degree": self.degree}

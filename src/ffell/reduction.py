@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import FieldElement, Poly, legendre, roots
+from .algebra import FieldElement, Poly, legendre
 from .curves import WeierstrassCurve
 from .fastcount import place_trace
 from .places import Place, reduce_at, residue_field
@@ -133,7 +133,7 @@ def curve_at_infinity(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, int]:
             math.ceil(degree_of(curve.a6) / 6))
 
     def rev(p: Poly, d: int) -> Poly:
-        cs = [F.zero_raw] * (d + 1)
+        cs = [0] * (d + 1)
         for i, c in enumerate(p.coeffs):
             cs[d - i] = c
         return Poly._raw(F, cs)
@@ -192,6 +192,29 @@ def _classify(a, b, d) -> KodairaSymbol:
         assert d == 10 and a >= 4, (a, b, d)
         return KodairaSymbol("II", star=True)
     raise AssertionError(f"non-minimal valuations after rescaling: {(a, b, d)}")
+
+
+def _cubic_roots(a: FieldElement, b: FieldElement) -> int:
+    """Number of roots in K = a.field of T^3 + aT + b, assumed separable.
+
+    By Stickelberger's theorem the discriminant -4a^3 - 27b^2 is a nonsquare
+    exactly when the cubic is a linear times an irreducible quadratic
+    factor.  Otherwise it splits completely or is irreducible, and it splits
+    iff T^|K| = T modulo the cubic.
+    """
+    if legendre(-4 * a ** 3 - 27 * b * b) == -1:
+        return 1
+    K = a.field
+    zero, one = K.zero, K.one
+    r = [one, zero, zero]  # T^e mod the cubic, e running over the bits of |K|
+    for bit in bin(K.order)[2:]:
+        u0, u1, u2 = r
+        c3, c4 = 2 * u1 * u2, u2 * u2  # square, then T^3 = -aT - b
+        r = [u0 * u0 - b * c3, 2 * u0 * u1 - a * c3 - b * c4,
+             u1 * u1 + 2 * u0 * u2 - a * c4]
+        if bit == "1":  # times T
+            r = [-b * r[2], r[0] - a * r[2], r[1]]
+    return 3 if r == [zero, one, zero] else 0
 
 
 def _tamagawa_in_star(A, B, pi: Poly, x: Place, n_expected: int) -> int:
@@ -275,7 +298,7 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
     if sym.base == "I" and sym.star and sym.n == 0:
         A2bar = reduce_at(_div(A, pi, 2), x)
         B3bar = reduce_at(_div(B, pi, 3), x)
-        c = 1 + len(roots(Poly(K, [B3bar, A2bar, K.zero, K.one])))
+        c = 1 + _cubic_roots(A2bar, B3bar)
     elif sym.base == "I" and sym.star:
         c = _tamagawa_in_star(A, B, pi, x, sym.n)
     elif sym.base == "II":

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffell.algebra import (
     PrimeField, ExtField, Poly, SquareClass, build_extension, factor,
-    is_irreducible, legendre, roots, square_class, square_class_of_rational,
+    is_irreducible, legendre, square_class, square_class_of_rational,
 )
 
 
@@ -194,14 +195,59 @@ class TestPoly:
         f = Poly(F5, list(K.modulus))
         assert not f(K.gen)  # the generator is a root of the modulus
 
-    def test_roots(self):
-        f = Poly(F7, [0, 1]) * Poly(F7, [-3, 1]) * Poly(F7, [1, 0, 1])
-        rs = roots(f)
-        assert sorted(r.raw for r in rs) == [0, 3]
-
     def test_valuation(self):
         t = Poly.t(F5)
         f = t ** 2 * (t - 1) ** 9
         assert f.valuation(t) == 2
         assert f.valuation(t - 1) == 9
         assert f.valuation(t + 1) == 0
+
+
+class TestIntHelpersOracle:
+    """The F_p[t] helpers against identities checked independently."""
+
+    @staticmethod
+    def draw_poly(data, F, max_degree=40):
+        n = data.draw(st.integers(0, max_degree + 1))
+        return Poly(F, [data.draw(st.integers(0, F.p - 1)) for _ in range(n)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([5, 7, 11, 13]), st.data())
+    def test_mul_is_convolution(self, p, data):
+        F = PrimeField(p)
+        a, b = self.draw_poly(data, F), self.draw_poly(data, F)
+        expected = []
+        if a and b:
+            expected = list(np.convolve(a.coeffs, b.coeffs) % p)
+            while expected and not expected[-1]:
+                expected.pop()
+        assert (a * b).coeffs == tuple(int(c) for c in expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([5, 7, 11, 13]), st.data())
+    def test_divmod_identity(self, p, data):
+        F = PrimeField(p)
+        a, b = self.draw_poly(data, F), self.draw_poly(data, F)
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                divmod(a, b)
+            return
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([5, 7, 11, 13]), st.data())
+    def test_gcd_monic_common_divisor(self, p, data):
+        F = PrimeField(p)
+        c = self.draw_poly(data, F, 8)
+        a = self.draw_poly(data, F, 32) * c
+        b = self.draw_poly(data, F, 32) * c
+        g = a.gcd(b)
+        if not a and not b:
+            assert not g
+            return
+        assert g.lead() == F.one
+        assert not a % g and not b % g
+        if c:
+            assert not g % c.monic()

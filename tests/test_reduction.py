@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
-from ffell.algebra import Poly, PrimeField, factor, legendre
+from ffell.algebra import (Poly, PrimeField, build_extension, factor,
+                           legendre)
 from ffell.curves import WeierstrassCurve
-from ffell.places import Place, reduce_at, residue_field
-from ffell.reduction import (KodairaSymbol, _div, local_reduce,
+from ffell.places import Place, enumerate_places, reduce_at, residue_field
+from ffell.reduction import (KodairaSymbol, _cubic_roots, _div, local_reduce,
                              local_root_factor, split_type, table_row,
                              tamagawa)
 
@@ -234,3 +237,57 @@ class TestDegreeTwoPlace:
         assert str(data.kodaira) == "I0"
         K = residue_field(x)
         assert abs(data.a_x) <= 2 * 5  # Hasse over F_25
+
+
+def count_cubic_roots(a, b):
+    """Roots of T^3 + aT + b, by trying every element of the field."""
+    return sum(1 for u in a.field.elements() if not (u * u + a) * u + b)
+
+
+class TestCubicRoots:
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_against_brute_force(self, p, d):
+        K = build_extension(p, d)
+        elements = list(K.elements())
+        rng = random.Random(p * 10 + d)
+        cubics = []
+        while len(cubics) < 40:
+            a, b = rng.choice(elements), rng.choice(elements)
+            if len(cubics) < 6:
+                a = K.zero            # T^3 + b
+            elif len(cubics) < 12:
+                b = K.zero            # T (T^2 + a)
+            if -4 * a ** 3 - 27 * b * b:
+                cubics.append((a, b))
+        outcomes, disc_classes = set(), set()
+        for a, b in cubics:
+            n = count_cubic_roots(a, b)
+            assert _cubic_roots(a, b) == n, (a, b)
+            outcomes.add(n)
+            disc_classes.add(legendre(-4 * a ** 3 - 27 * b * b))
+        assert outcomes == {0, 1, 3}
+        assert disc_classes == {1, -1}
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("deg", [2, 3])
+    def test_I0star_tamagawa(self, p, deg):
+        # twisting by pi puts I0* at a place of good reduction; c is 1 plus
+        # the roots of the reduced cubic T^3 + (A/pi^2) T + (B/pi^3)
+        F = PrimeField(p)
+        t = Poly.t(F)
+        E = WeierstrassCurve(Poly(F, []), t ** 2 + 2 * t - 1, t ** 3 + 3)
+        seen = set()
+        for x in enumerate_places(F, deg):
+            if x.degree != deg or not E.delta % x.pi:
+                continue
+            Et = E.twist_by(x.pi)
+            data = local_reduce(Et, x)
+            assert str(data.kodaira) == "I0*"
+            A, B = Et.short_coefficients()
+            a = reduce_at(_div(A, x.pi, 2), x)
+            b = reduce_at(_div(B, x.pi, 3), x)
+            assert a.field == residue_field(x)
+            assert data.c == 1 + count_cubic_roots(a, b)
+            seen.add(data.c)
+        assert seen == {1, 2, 4}
