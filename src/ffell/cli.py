@@ -175,9 +175,9 @@ def lfunction_cmd(curve_file, check_fe, ells, out):
 @click.option("--primes", required=True, help="Comma-separated primes.")
 @click.option("--ell", "ells", default="5,7,11,13,17,19,23",
               show_default=True, help="Primes ell for the condition checks.")
-@click.option("--max-w", type=int, default=None,
+@click.option("--max-w", type=click.IntRange(min=1), default=None,
               help="Cap the number of twist parameters per prime.")
-@click.option("--jobs", type=int, default=None,
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Worker processes (default: all cores).")
 @click.option("--out", type=click.Path(), default=None)
 def verify_family(family, n, primes, ells, max_w, jobs, out):

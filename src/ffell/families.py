@@ -127,8 +127,9 @@ class Family:
     ell_squares: tuple            # valid ell: these are squares mod ell
     ell_nonsquares: tuple         # ... and these are not
     waive_hypotheses: bool
-    # base models and valid_prime verdicts by (kind, p, n); per instance, as
-    # an edited declaration may be parsed again under the same fid
+    # base models, valid_prime verdicts and h on W(F_p) by (kind, p, n); per
+    # instance, as an edited declaration may be parsed again under the same
+    # fid
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -209,28 +210,35 @@ class Family:
             raise ValueError(f"{self.fid}: beta({w}) = 0 mod {p}")
         return int((_fp_poly(F, num)(F(w)) / d).raw)
 
-    def _in_W(self, F: PrimeField, n: int, delta: Poly, w: int) -> bool:
-        """Whether beta(w) != 0 and Delta(h(w)) != 0, for the discriminant
-        delta of the base model mod p."""
+    def h_on_W(self, p: int, n: int) -> dict:
+        """h(w) mod p for every w in W(F_p), keyed by w in ascending order."""
+        return self._memoised(("W", p, n), lambda: self._h_on_W(p, n))
+
+    def _h_on_W(self, p: int, n: int) -> dict:
+        F = PrimeField(p)
+        delta = self.base_curve(p, n).delta
         num, den = (_fp_poly(F, c) for c in self.h_pair(n))
-        dw = den(F(w))
-        return bool(dw) and bool(delta(num(F(w)) / dw))
+        out = {}
+        for w in range(p):
+            dw = den(F(w))
+            if dw:
+                hw = num(F(w)) / dw
+                if delta(hw):
+                    out[w] = int(hw.raw)
+        return out
 
     def W_set(self, p: int, n: int) -> list:
         """All w in F_p with beta(w) != 0 and Delta(h(w)) != 0."""
-        F = PrimeField(p)
-        delta = self.base_curve(p, n).delta
-        return [w for w in range(p) if self._in_W(F, n, delta, w)]
+        return list(self.h_on_W(p, n))
 
     def instantiate(self, p: int, n: int, w: int) -> WeierstrassCurve:
         """The member curve at (p, w): the base model twisted by t - h(w)."""
         if not self.valid_prime(p, n):
             raise ValueError(f"{self.fid}: invalid prime {p} for n={n}")
-        F = PrimeField(p)
-        E = self.base_curve(p, n)
-        if not self._in_W(F, n, E.delta, w):
+        hw = self.h_on_W(p, n).get(w % p)
+        if hw is None:
             raise ValueError(f"{self.fid}: w={w} not in W(F_{p})")
-        return E.twist_by(Poly.t(F) - self.h_mod_p(p, n, w))
+        return self.base_curve(p, n).twist_by(Poly.t(PrimeField(p)) - hw)
 
     def eps_value(self, F: PrimeField, n: int, hw=None):
         """The root number the law predicts at a cell with h(w) = hw mod p
@@ -662,7 +670,7 @@ class CriterionReport:
 def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
     """Local/global data and per-claim check results for one grid cell."""
     E = fam.instantiate(p, n, w)
-    hw = fam.h_mod_p(p, n, w)
+    hw = fam.h_on_W(p, n)[w % p]
     F = E.field
     inv = global_invariants(E)
     checks = {}
@@ -781,6 +789,8 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
     grid order, so reports are identical to a serial run."""
     if isinstance(fam, str):
         fam = FAMILIES[fam]
+    if max_w is not None and max_w < 1:
+        raise ValueError(f"max_w must be at least 1, got {max_w}")
     rep = CriterionReport(family=fam.fid, n=n, condition=fam.condition)
     if fam.waive_hypotheses:
         rep.waivers = ["I0* at only one affine closed point", "6B > N"]

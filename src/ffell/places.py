@@ -6,7 +6,7 @@ infinity has uniformizer 1/t and residue field F_q.  Residue fields are
 realized as F_q[t]/(pi), i.e. an ExtField with modulus pi (or F_q itself in
 degree 1), so the residue of a polynomial f is f mod pi read in that field.
 Reduction at infinity goes through the coordinate u = 1/t instead (see
-reduction.curve_at_infinity).
+reduction.short_model_at_infinity).
 """
 
 from __future__ import annotations

@@ -3,14 +3,27 @@
 residue characteristic is >= 5), table invariants, Tamagawa number,
 split/non-split discrimination, a_x and the local root-number factor.
 
-At a finite place pi every quantity the algorithm handles is a polynomial
-divided by a power of pi: the minimal-model coefficients -c4/(48 pi^(4s))
-and -c6/(864 pi^(6s)), and the shifted coefficients of the I_n*
-subprocedure.  They are all kept as polynomials, divided by pi^k exactly
-(a nonzero remainder raises ValueError) and reduced as f mod pi.
+The algorithm reads only the short model y^2 = x^3 + Ax + B, with
+A = -c4/48 and B = -c6/864, and Delta; v(A) = v(c4) and v(B) = v(c6).  At a
+finite place pi the minimal model is A/pi^(4s), B/pi^(6s), Delta/pi^(12s).
+Every quantity is a polynomial divided by a power of pi exactly (a nonzero
+remainder raises ValueError) and reduced as f mod pi into the residue field
+K, whose quadratic character is chi_K.  Tamagawa numbers and split types are
+then closed forms:
 
-The place at infinity is handled by substituting t -> 1/u into an equivalent
-model and reducing at u = 0.
+- I_n, n >= 1: split iff 6B is a square in K.  The node is at the double
+  root x0 = -3B/(2A), the tangent slopes there are +-sqrt(3 x0), and
+  -A = 3 x0^2 puts 3 x0 in the square class of 6B.
+- I_n*, n >= 1: c = 3 + chi_K(e), with e = Delta/pi^(6+n) for even n and
+  e = (Delta/pi^(6+n)) (-6B/pi^3) for odd n.  Tate's subprocedure ends at a
+  quadratic whose discriminant (n even) or constant term (n odd) has the
+  square class of e.
+- I0*: 1 + the roots of T^3 + (A/pi^2) T + (B/pi^3) in K.  IV and IV*:
+  3 if B/pi^2, resp. B/pi^4, is a square in K, else 1.
+
+The place at infinity is the place u = 0 in the coordinate u = 1/t: A, B
+and Delta, of weights 4, 6 and 12, become u^(4k) A(1/u), u^(6k) B(1/u) and
+u^(12k) Delta(1/u), their coefficient lists reversed at those degrees.
 """
 
 from __future__ import annotations
@@ -119,11 +132,11 @@ class LocalReductionData:
         }
 
 
-def curve_at_infinity(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, int]:
-    """An equivalent model in the coordinate u = 1/t, so that the place at
-    infinity becomes the finite place u = 0.  Returns (model, weight k)."""
-    F = curve.field
-
+def short_model_at_infinity(curve: WeierstrassCurve) -> tuple[Poly, Poly, Poly]:
+    """(A, B, Delta) of the curve in the coordinate u = 1/t, so that the
+    place at infinity becomes the finite place u = 0: each is reversed at
+    degree 4k, 6k and 12k, where k is the least weight >= 1 with
+    deg a_i <= i k for a2, a4 and a6."""
     def degree_of(p):
         return 0 if not p else int(p.degree)
 
@@ -136,18 +149,10 @@ def curve_at_infinity(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, int]:
         cs = [0] * (d + 1)
         for i, c in enumerate(p.coeffs):
             cs[d - i] = c
-        return Poly._raw(F, cs)
+        return Poly._raw(curve.field, cs)
 
-    return WeierstrassCurve(rev(curve.a2, 2 * k), rev(curve.a4, 4 * k),
-                            rev(curve.a6, 6 * k)), k
-
-
-def _lift(x: Place, a: FieldElement) -> Poly:
-    """A polynomial of degree < deg(x) reducing to a at x."""
-    F = x.field
-    if a.field == F:
-        return Poly(F, [a.raw])
-    return Poly._raw(F, list(a.raw))
+    A, B = curve.short_coefficients()
+    return rev(A, 4 * k), rev(B, 6 * k), rev(curve.delta, 12 * k)
 
 
 def _val(p: Poly, pi: Poly):
@@ -156,6 +161,8 @@ def _val(p: Poly, pi: Poly):
 
 def _div(f: Poly, pi: Poly, k: int) -> Poly:
     """f / pi^k, which must be a polynomial."""
+    if k == 0:
+        return f
     q, r = divmod(f, pi ** k)
     if r:
         raise ValueError(f"({pi})^{k} does not divide {f!r}")
@@ -217,77 +224,31 @@ def _cubic_roots(a: FieldElement, b: FieldElement) -> int:
     return 3 if r == [zero, one, zero] else 0
 
 
-def _tamagawa_in_star(A, B, pi: Poly, x: Place, n_expected: int) -> int:
-    """Tate's subprocedure for I_n* (n >= 1), odd residue characteristic.
-
-    A, B are the depressed-model coefficients (y^2 = x^3 + Ax + B) with
-    v_x(A) = 2 and v_x(B) = 3.  Returns c in {2, 4}; asserts that the loop
-    length matches n_expected = v(Delta_min) - 6.
-    """
-    A2bar = reduce_at(_div(A, pi, 2), x)
-    B3bar = reduce_at(_div(B, pi, 3), x)
-    T0 = -3 * B3bar / (2 * A2bar)  # double root of T^3 + A2bar T + B3bar
-    r = pi * _lift(x, T0)
-    a2 = 3 * r
-    a4 = A + 3 * r ** 2
-    a6 = B + A * r + r ** 3
-    n = 1
-    while True:
-        if n % 2 == 1:
-            k = (n + 1) // 2
-            u = reduce_at(_div(a6, pi, 2 * k + 2), x)
-            if u:
-                c = 4 if legendre(u) == 1 else 2
-                break
-            # double root Y = 0 of Y^2 - u; no shift needed in odd characteristic
-        else:
-            m = n // 2
-            abar = reduce_at(_div(a2, pi, 1), x)
-            bbar = reduce_at(_div(a4, pi, m + 2), x)
-            cbar = reduce_at(_div(a6, pi, 2 * m + 3), x)
-            disc = bbar * bbar - 4 * abar * cbar
-            if disc:
-                c = 4 if legendre(disc) == 1 else 2
-                break
-            X0 = -bbar / (2 * abar)
-            sh = pi ** (m + 1) * _lift(x, X0)
-            a6 = a6 + a4 * sh + a2 * sh ** 2 + sh ** 3
-            a4 = a4 + 2 * a2 * sh + 3 * sh ** 2
-            a2 = a2 + 3 * sh
-        n += 1
-    assert n == n_expected, f"subprocedure found I_{n}*, table says I_{n_expected}*"
-    return c
-
-
-def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
+def _local_reduce_finite(A: Poly, B: Poly, delta: Poly,
+                         x: Place) -> LocalReductionData:
+    """Tate's algorithm at the finite place x on y^2 = x^3 + Ax + B with
+    discriminant delta."""
     pi = x.pi
-    K = residue_field(x)
-    vc4 = _val(curve.c4, pi)
-    vc6 = _val(curve.c6, pi)
-    vd = curve.delta.valuation(pi)
-    s = min(vc4 // 4, vc6 // 6, vd // 12)
-    s = int(s)
-    a, b, d = vc4 - 4 * s, vc6 - 6 * s, vd - 12 * s
+    vA, vB, vd = _val(A, pi), _val(B, pi), delta.valuation(pi)
+    # A or B = 0 (j = 0 or 1728) bounds nothing; inf // 4 would be nan
+    s = min(v // w for v, w in ((vA, 4), (vB, 6), (vd, 12)) if v != INF)
+    if s:
+        A, B = _div(A, pi, 4 * s), _div(B, pi, 6 * s)
+        delta = _div(delta, pi, 12 * s)
+    a, b, d = vA - 4 * s, vB - 6 * s, vd - 12 * s
     sym = _classify(a, b, d)
     row = table_row(sym)
-
-    A, B = curve.short_coefficients()
-    A, B = _div(A, pi, 4 * s), _div(B, pi, 6 * s)
 
     if sym.base == "I" and not sym.star and sym.n == 0:
         return LocalReductionData(
             x, sym, **row, c=1, reduction_type="good",
             a_x=place_trace(pi, A, B), v_min_delta=d,
-            minimal_fiber=(K.zero, reduce_at(A, x), reduce_at(B, x)))
+            minimal_fiber=(residue_field(x).zero, reduce_at(A, x),
+                           reduce_at(B, x)))
 
     if sym.base == "I" and not sym.star:  # multiplicative I_n, n >= 1
         n = sym.n
-        Abar = reduce_at(A, x)
-        Bbar = reduce_at(B, x)
-        x0 = -3 * Bbar / (2 * Abar)  # double root of the reduced cubic
-        slope2 = 3 * x0  # tangent-cone quantity: split iff a square
-        split = legendre(slope2) == 1
-        if split:
+        if legendre(reduce_at(6 * B, x)) == 1:
             c, rtype, a_x = n, "split_mult", 1
         else:
             c, rtype, a_x = (2 if n % 2 == 0 else 1), "nonsplit_mult", -1
@@ -300,7 +261,10 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
         B3bar = reduce_at(_div(B, pi, 3), x)
         c = 1 + _cubic_roots(A2bar, B3bar)
     elif sym.base == "I" and sym.star:
-        c = _tamagawa_in_star(A, B, pi, x, sym.n)
+        e = reduce_at(_div(delta, pi, d), x)
+        if sym.n % 2:
+            e = e * reduce_at(_div(-6 * B, pi, 3), x)
+        c = 3 + legendre(e)
     elif sym.base == "II":
         c = 1
     elif sym.base == "III":
@@ -320,11 +284,11 @@ def _local_reduce_finite(curve: WeierstrassCurve, x: Place) -> LocalReductionDat
 def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
     """Tate's algorithm at x (finite or infinite)."""
     if x.is_infinite:
-        model, _ = curve_at_infinity(curve)
-        data = _local_reduce_finite(model, Place.rational(curve.field, 0))
+        data = _local_reduce_finite(*short_model_at_infinity(curve),
+                                    Place.rational(curve.field, 0))
         data.place = x
         return data
-    return _local_reduce_finite(curve, x)
+    return _local_reduce_finite(*curve.short_coefficients(), curve.delta, x)
 
 
 def tamagawa(curve: WeierstrassCurve, x: Place) -> int:
@@ -344,5 +308,5 @@ def local_root_factor(data: LocalReductionData) -> int:
         return 1
     if data.reduction_type == "split_mult":
         return -1
-    K = residue_field(data.place) if not data.place.is_infinite else data.place.field
-    return legendre(K(-data.r))
+    # -r lies in F_p, so chi_K(-r) = chi_{F_p}(-r)^[K : F_p]
+    return legendre(data.place.field(-data.r)) ** data.degree

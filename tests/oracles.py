@@ -1,11 +1,20 @@
-"""Scalar oracles for the vectorised kernel in ffell.fastcount: point counts
-over FieldElement and the orbit-walking search for place representatives."""
+"""Reference implementations that fast paths are tested against: scalar
+point counts over FieldElement and the orbit-walking search for place
+representatives (for the vectorised kernel in ffell.fastcount), and Tate's
+I_n* subprocedure, the tangent-slope split test and the rebuilt model at
+infinity (for the closed forms in ffell.reduction)."""
+
+import math
 
 import numpy as np
 
-from ffell.algebra import legendre
-from ffell.places import residue_field
-from ffell.reduction import local_reduce
+from ffell.algebra import FieldElement, Poly, legendre
+from ffell.curves import WeierstrassCurve
+from ffell.fastcount import place_trace
+from ffell.places import Place, reduce_at, residue_field
+from ffell.reduction import (INF, LocalReductionData, _classify,
+                             _cubic_roots, _div, _val, local_reduce,
+                             table_row)
 
 
 def count_points_cubic(K, A2, A4, A6, method: str = "charsum") -> int:
@@ -67,3 +76,129 @@ def orbit_representatives(T) -> np.ndarray:
         if len(orbit) == T.d:
             reps.append(c)
     return np.array(reps, dtype=np.int64)
+
+
+def curve_at_infinity(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, int]:
+    """An equivalent model in the coordinate u = 1/t, so that the place at
+    infinity becomes the finite place u = 0.  Returns (model, weight k)."""
+    F = curve.field
+
+    def degree_of(p):
+        return 0 if not p else int(p.degree)
+
+    k = max(1,
+            math.ceil(degree_of(curve.a2) / 2),
+            math.ceil(degree_of(curve.a4) / 4),
+            math.ceil(degree_of(curve.a6) / 6))
+
+    def rev(p: Poly, d: int) -> Poly:
+        cs = [0] * (d + 1)
+        for i, c in enumerate(p.coeffs):
+            cs[d - i] = c
+        return Poly._raw(F, cs)
+
+    return WeierstrassCurve(rev(curve.a2, 2 * k), rev(curve.a4, 4 * k),
+                            rev(curve.a6, 6 * k)), k
+
+
+def _lift(x: Place, a: FieldElement) -> Poly:
+    """A polynomial of degree < deg(x) reducing to a at x."""
+    F = x.field
+    if a.field == F:
+        return Poly(F, [a.raw])
+    return Poly._raw(F, list(a.raw))
+
+
+def tamagawa_in_star(A, B, pi: Poly, x: Place, n_expected: int) -> int:
+    """Tate's subprocedure for I_n* (n >= 1), odd residue characteristic.
+
+    A, B are the depressed-model coefficients (y^2 = x^3 + Ax + B) with
+    v_x(A) = 2 and v_x(B) = 3.  Returns c in {2, 4}; asserts that the loop
+    length matches n_expected = v(Delta_min) - 6.
+    """
+    A2bar = reduce_at(_div(A, pi, 2), x)
+    B3bar = reduce_at(_div(B, pi, 3), x)
+    T0 = -3 * B3bar / (2 * A2bar)  # double root of T^3 + A2bar T + B3bar
+    r = pi * _lift(x, T0)
+    a2 = 3 * r
+    a4 = A + 3 * r ** 2
+    a6 = B + A * r + r ** 3
+    n = 1
+    while True:
+        if n % 2 == 1:
+            k = (n + 1) // 2
+            u = reduce_at(_div(a6, pi, 2 * k + 2), x)
+            if u:
+                c = 4 if legendre(u) == 1 else 2
+                break
+            # double root Y = 0 of Y^2 - u; no shift needed in odd characteristic
+        else:
+            m = n // 2
+            abar = reduce_at(_div(a2, pi, 1), x)
+            bbar = reduce_at(_div(a4, pi, m + 2), x)
+            cbar = reduce_at(_div(a6, pi, 2 * m + 3), x)
+            disc = bbar * bbar - 4 * abar * cbar
+            if disc:
+                c = 4 if legendre(disc) == 1 else 2
+                break
+            X0 = -bbar / (2 * abar)
+            sh = pi ** (m + 1) * _lift(x, X0)
+            a6 = a6 + a4 * sh + a2 * sh ** 2 + sh ** 3
+            a4 = a4 + 2 * a2 * sh + 3 * sh ** 2
+            a2 = a2 + 3 * sh
+        n += 1
+    assert n == n_expected, f"subprocedure found I_{n}*, table says I_{n_expected}*"
+    return c
+
+
+def tangent_split(Abar: FieldElement, Bbar: FieldElement) -> bool:
+    """Whether the node of y^2 = x^3 + Abar x + Bbar (a singular cubic with
+    Abar != 0) has tangent slopes in the field: 3 x0 is a square, x0 the
+    double root."""
+    x0 = -3 * Bbar / (2 * Abar)
+    return legendre(3 * x0) == 1
+
+
+def reference_local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
+    """Tate's algorithm with valuations of c4, c6 and Delta, the tangent-slope
+    split test, the I_n* subprocedure and a rebuilt model at infinity."""
+    if x.is_infinite:
+        model, _ = curve_at_infinity(curve)
+        data = reference_local_reduce(model, Place.rational(curve.field, 0))
+        data.place = x
+        return data
+    pi = x.pi
+    vc4, vc6 = _val(curve.c4, pi), _val(curve.c6, pi)
+    vd = curve.delta.valuation(pi)
+    s = min(v // w for v, w in ((vc4, 4), (vc6, 6), (vd, 12)) if v != INF)
+    a, b, d = vc4 - 4 * s, vc6 - 6 * s, vd - 12 * s
+    sym = _classify(a, b, d)
+    row = table_row(sym)
+    A, B = curve.short_coefficients()
+    A, B = _div(A, pi, 4 * s), _div(B, pi, 6 * s)
+
+    if str(sym) == "I0":
+        return LocalReductionData(
+            x, sym, **row, c=1, reduction_type="good",
+            a_x=place_trace(pi, A, B), v_min_delta=d,
+            minimal_fiber=(residue_field(x).zero, reduce_at(A, x),
+                           reduce_at(B, x)))
+    if sym.base == "I" and not sym.star:
+        if tangent_split(reduce_at(A, x), reduce_at(B, x)):
+            c, rtype, a_x = sym.n, "split_mult", 1
+        else:
+            c, rtype, a_x = 2 - sym.n % 2, "nonsplit_mult", -1
+        return LocalReductionData(x, sym, **row, c=c, reduction_type=rtype,
+                                  a_x=a_x, v_min_delta=d)
+    if str(sym) == "I0*":
+        c = 1 + _cubic_roots(reduce_at(_div(A, pi, 2), x),
+                             reduce_at(_div(B, pi, 3), x))
+    elif sym.base == "I":
+        c = tamagawa_in_star(A, B, pi, x, sym.n)
+    elif sym.base in ("II", "III"):
+        c = 1 if sym.base == "II" else 2
+    else:                                                   # IV, IV*
+        Bbar = reduce_at(_div(B, pi, 4 if sym.star else 2), x)
+        c = 3 if legendre(Bbar) == 1 else 1
+    return LocalReductionData(x, sym, **row, c=c, reduction_type="additive",
+                              a_x=0, v_min_delta=d)

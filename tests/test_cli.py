@@ -151,6 +151,17 @@ class TestVerifyFamily:
         assert "cannot read family file" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("option", ["--max-w", "--jobs"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_count_exits_2(self, runner, option, value):
+        # --max-w -1 would slice ws[:-1]: the last w of every prime dropped
+        args = ["verify-family", "intro_N5", "--primes", "13", "--max-w",
+                "2", "--jobs", "1", option, value]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert option in res.stderr
+        assert res.stdout == ""
+
     def test_deterministic_json(self, runner):
         args = ["verify-family", "even_4mod8", "--n", "1", "--primes", "11",
                 "--max-w", "2", "--jobs", "1"]

@@ -152,6 +152,11 @@ class TestGrid:
 
 
 class TestVerifyProfile:
+    @pytest.mark.parametrize("max_w", [-1, 0])
+    def test_nonpositive_max_w_rejected(self, max_w):
+        with pytest.raises(ValueError, match="max_w"):
+            verify_profile("intro_N5", 0, [13], max_w=max_w)
+
     def test_intro_passes_with_waivers(self):
         rep = verify_profile("intro_N5", 0, [5, 7], max_w=2)
         assert rep.verdict and rep.waivers

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from ffell.algebra import (Poly, PrimeField, build_extension, factor,
-                           legendre)
+                           is_irreducible, legendre)
 from ffell.curves import WeierstrassCurve
 from ffell.places import Place, enumerate_places, reduce_at, residue_field
 from ffell.reduction import (KodairaSymbol, _cubic_roots, _div, local_reduce,
                              local_root_factor, split_type, table_row,
                              tamagawa)
+
+from oracles import reference_local_reduce
 
 
 def intro_base(p):
@@ -291,3 +293,86 @@ class TestCubicRoots:
             assert data.c == 1 + count_cubic_roots(a, b)
             seen.add(data.c)
         assert seen == {1, 2, 4}
+
+
+def random_place(F, rng, d):
+    while True:
+        pi = Poly(F, [rng.randrange(F.p) for _ in range(d)] + [1])
+        if is_irreducible(pi):
+            return Place.finite(F, pi)
+
+
+def random_poly(F, rng, deg):
+    return Poly(F, [rng.randrange(F.p) for _ in range(deg + 1)])
+
+
+def matches_reference(E, x):
+    """local_reduce(E, x), after checking it against the reference."""
+    got, ref = local_reduce(E, x), reference_local_reduce(E, x)
+    assert got.to_json() == ref.to_json(), (E, x)
+    assert got.minimal_fiber == ref.minimal_fiber, (E, x)
+    return got
+
+
+class TestClosedFormsAgainstReference:
+    """The closed-form split test and I_n* Tamagawa numbers, and the
+    reversed (A, B, Delta) at infinity, against Tate's subprocedure, the
+    tangent slopes at the node and the rebuilt model (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_multiplicative_and_In_star(self, p):
+        # y^2 = x^3 + a x^2 + pi^n (r x + g), a and g units at pi: I_n with
+        # the node at 0 and tangents y^2 = a x^2; twisting by pi gives I_n*
+        F = PrimeField(p)
+        rng = random.Random(p)
+        split_types, star_cases = set(), set()
+        for d in (1, 2, 3):
+            for n in range(1, 7):
+                for _ in range(3):
+                    x = random_place(F, rng, d)
+                    a, g = (random_poly(F, rng, d) for _ in range(2))
+                    if not (a % x.pi and g % x.pi):
+                        continue
+                    pin = x.pi ** n
+                    E = WeierstrassCurve(a, pin * random_poly(F, rng, 2),
+                                         pin * g)
+                    data = matches_reference(E, x)
+                    assert str(data.kodaira) == f"I{n}"
+                    split_types.add(data.reduction_type)
+                    Et = E.twist_by(x.pi)
+                    data = matches_reference(Et, x)
+                    assert str(data.kodaira) == f"I{n}*"
+                    star_cases.add((n % 2, data.c))
+                    for E1 in (E, Et):
+                        matches_reference(E1, Place.infinity(F))
+        assert split_types == {"split_mult", "nonsplit_mult"}
+        assert star_cases == {(0, 2), (0, 4), (1, 2), (1, 4)}
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_infinity_on_random_models(self, p):
+        F = PrimeField(p)
+        rng = random.Random(100 + p)
+        symbols = set()
+        for _ in range(200):
+            k = rng.randrange(1, 4)
+            coeffs = [random_poly(F, rng, rng.randrange(-1, i * k + 1))
+                      for i in (2, 4, 6)]
+            try:
+                E = WeierstrassCurve(*coeffs)
+            except ValueError:          # zero discriminant
+                continue
+            symbols.add(str(matches_reference(E, Place.infinity(F)).kodaira))
+        assert {"I0", "I0*", "II", "III", "IV", "IV*", "III*", "II*"} <= symbols
+        assert any(KodairaSymbol.parse(s).n for s in symbols)
+        assert any(KodairaSymbol.parse(s).n for s in symbols if "*" in s)
+
+    def test_j_zero_and_1728(self):
+        # A = 0 or B = 0 leaves v(A) or v(B) infinite; it must not bound s
+        F = PrimeField(7)
+        t = Poly.t(F)
+        zero = Poly(F, [])
+        E0 = WeierstrassCurve(zero, zero, t ** 7 * (t + 1))  # y^2 = x^3 + B
+        E1 = WeierstrassCurve(zero, t ** 5, zero)            # y^2 = x^3 + Ax
+        for E, at0, at_inf in ((E0, "II", "IV*"), (E1, "III", "III*")):
+            assert str(matches_reference(E, Place.rational(F, 0)).kodaira) == at0
+            assert str(matches_reference(E, Place.infinity(F)).kodaira) == at_inf
