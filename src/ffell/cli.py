@@ -136,9 +136,9 @@ def lfunction_cmd(curve_file, check_fe, ells, out):
     E = load_curve_file(curve_file)
     try:
         inv = global_invariants(E)
+        L = lfunction(E, inv)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    L = lfunction(E, inv)
     payload = {"invariants": inv.to_json(), "L": L.to_json()}
     failed = False
     click.echo(f"N = {inv.N}  chi = {inv.chi}  gamma = {inv.gamma}  "

@@ -15,11 +15,24 @@ with n = q - 1 the element g^k has log k in [0, n), and zero has the sentinel
 log ZERO = 3n.  Multiplication adds logs; addition is one gather from the Zech
 table, log(g^i + g^j) = i + zech[j - i] with zech[k] = log(1 + g^k)
 (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36,
-1990).  The sentinel hits at k = n/2, where g^k = -1.  The character sum
-reads chi(1 + g^k) from zchi, stored over 5n indices: on [0, 3n) it repeats
-with period n, so a sum of three logs indexes it without a reduction mod n,
-and from 3n on it is 1, so an index pushed there by the sentinel of a zero
-summand reads chi(1 + 0).
+1990).  The sentinel hits at k = n/2, where g^k = -1.
+
+The character sums S(A, B) = sum_u chi(u^3 + A u + B) come from one table per
+field, built at first use.  Substituting u = lam v gives
+S(lam^2 A', lam^3 B') = chi(lam) S(A', B') (the quadratic twist, Silverman,
+The Arithmetic of Elliptic Curves, X.5), so with A' = g^(log A mod 2) every
+A != 0 reads the row of A' = 1 or A' = g at B / lam^3, and A = 0 has a row of
+its own.  For fixed A' the row S[B] = sum_v h[v] chi(v + B), with h the
+histogram of the values of u^3 + A' u, is a correlation over the additive
+group (Z/p)^d, which the code packing already is.  It is computed exactly by
+number-theoretic transforms over F_P (J. M. Pollard, "The fast Fourier
+transform in a finite field", Math. Comp. 25, 1971): P is the smallest prime
+= 1 mod p above 2q, so |S| <= q is read back from its residue, and the p-point
+DFT is one float64 matmul per axis, reduced mod P in int64 (np.fmod of these
+large quotients is over ten times slower).  Every sum of p products of
+residues stays an exact float64 integer while p (P - 1)^2 < 2^53; fields beyond
+that bound (q above about 1.4e7 at p = 11) are refused before any table is
+built.
 
 Output order is deterministic: representatives are the minimal codes of their
 orbits, listed in increasing order.
@@ -31,7 +44,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _prime_factors, build_extension
+from .algebra import _prime_factors, build_extension, is_prime
+
+
+def ntt_prime(p: int, d: int) -> int:
+    """The prime P of the exact character-sum DFTs over F_{p^d}: the
+    smallest P = 1 mod p above 2 p^d.  Raises ValueError, before anything
+    is allocated, when p (P - 1)^2 >= 2^53."""
+    q = p ** d
+    P = 2 * q + 1                                # = 1 mod p, as p | q
+    while not is_prime(P):
+        P += p
+    if p * (P - 1) ** 2 >= 2 ** 53:
+        raise ValueError(
+            f"q = {p}^{d} = {q} is beyond the exact character-sum tables, "
+            f"which need p (P - 1)^2 < 2^53 for the prime P = {P} = 1 mod "
+            f"{p} above 2q: q must stay below about "
+            f"{(2 ** 53 / p) ** 0.5 / 2:.2g} at p = {p}")
+    return P
 
 
 class FieldTables:
@@ -70,17 +100,11 @@ class FieldTables:
         assert (self.log[1:] < n).all(), "generator order mismatch"
 
         one_plus = self.exp - self.exp % p + (self.exp + 1) % p
-        zech = self.log[one_plus]
-        self.zech = np.tile(zech, 2)                 # indexed on [0, 2n)
-        # sgn[k] = (-1)^k for a log k < ZERO, 0 from ZERO on (a zero element)
-        self.sgn = np.zeros(4 * n, dtype=np.int8)
-        self.sgn[:zero] = 1 - 2 * (np.arange(zero) & 1)
-        self.zchi = np.ones(5 * n, dtype=np.int8)
-        self.zchi[:zero] = np.tile(self.sgn[zech], 3)
-        self.chi = self.sgn[self.log]
+        self.zech = self.log[one_plus]
+        # chi(g^k) = (-1)^k, chi(0) = 0
+        self.chi = np.where(self.log == zero, 0,
+                            1 - 2 * (self.log & 1)).astype(np.int8)
         self.frobenius = self.power_codes(p)
-        self._lv = np.arange(n)                      # log u over u != 0
-        self._lv2 = 2 * self._lv % n                 # log u^2
 
     def _find_generator(self, raw_of):
         F = self.field
@@ -144,29 +168,46 @@ class FieldTables:
                 exact &= conj != codes
         return np.flatnonzero(exact & (least == codes))
 
-    def cubic_sums(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """sum_u chi(u^3 + A u + B) over F_q for each pair of codes.
+    @cached_property
+    def cubic_table(self) -> np.ndarray:
+        """(3, q) int64: row r at code B is sum_u chi(u^3 + A_r u + B) for
+        A_r = 0, 1, g; each row the correlation of the histogram of
+        u^3 + A_r u with chi, by DFTs over F_P (see the module docstring)."""
+        p, d, q = self.p, self.d, self.q
+        P = ntt_prime(p, d)
+        w = next(x for x in (pow(c, (P - 1) // p, P) for c in range(2, P))
+                 if x != 1)                      # order p, as p is prime
+        k = np.arange(p)
+        w_pow = np.array([pow(w, e, P) for e in range(p)], dtype=np.float64)
+        fwd, inv = w_pow[np.outer(k, k) % p], w_pow[np.outer(k, -k) % p]
 
-        With logs a, b of A, B and v = log u: u^2 + A has log a + t,
-        t = zech[2v - a + n], and w = u (u^2 + A) has log v + a + t, so
-        chi(w + B) = chi(B) zchi[v + t + (a - b) mod n].  A zero u^2 + A
-        (t = ZERO) reads chi(B); u = 0 contributes chi(B) too."""
-        n, zero, zech, sgn, zchi = (self.n, self.ZERO, self.zech, self.sgn,
-                                    self.zchi)
-        lv, lv2 = self._lv, self._lv2
-        out = np.empty(len(A), dtype=np.int64)
-        for i, (a, b) in enumerate(zip(self.log[A].tolist(),
-                                       self.log[B].tolist())):
-            if a == zero:
-                a, t = 0, lv2
-            else:
-                t = zech[lv2 + (n - a)]
-            if b == zero:      # sum chi(u) chi(u^2 + A)
-                out[i] = int(sgn[a]) * int(sgn[lv + t].sum())
-            else:
-                out[i] = int(sgn[b]) * (1 + int(zchi[lv + t + (a - b) % n]
-                                                .sum()))
-        return out
+        def dft(x, W):
+            # transform the leading digit, which then moves to the end: after
+            # d steps every digit is transformed and back in place
+            for _ in range(d):
+                x = (x.reshape(p, -1).T @ W).astype(np.int64) % P
+            return x.reshape(-1)
+
+        X = dft(self.chi.astype(np.int64) % P, fwd)
+        cube, u = self.power_codes(3), np.arange(q)
+        table = np.empty((3, q), dtype=np.int64)
+        for row, a in enumerate((0, 1, int(self.exp[1]))):
+            vals = self.add_codes(cube, self.scale_codes(u, a)) if a else cube
+            H = dft(np.bincount(vals, minlength=q), inv)
+            S = dft(H * X % P, inv) * pow(q, -1, P) % P
+            table[row] = np.where(S > P // 2, S - P, S)
+        return table
+
+    def cubic_sums(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """sum_u chi(u^3 + A u + B) over F_q for each pair of codes: with
+        A = lam^2 A' and log lam = floor(log A / 2), the sum is
+        chi(lam) S[A', B / lam^3]; A = 0 reads its own row (lam = 1)."""
+        n, zero = self.n, self.ZERO
+        a, b = self.log[A], self.log[B]
+        lam = np.where(a == zero, 0, a >> 1)
+        row = np.where(a == zero, 0, 1 + (a & 1))
+        col = self._codes(np.where(b == zero, zero, (b - 3 * lam) % n))
+        return (1 - 2 * (lam & 1)) * self.cubic_table[row, col]
 
 
 _TABLE_CACHE: dict[tuple[int, int], FieldTables] = {}

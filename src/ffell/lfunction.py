@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Poly, SquareClass, _prime_factors, factor, is_prime
-from .fastcount import batch_traces
+from .fastcount import batch_traces, ntt_prime
 from .orthogonal import det_mod
 from .places import Place
 from .reduction import local_reduce, local_root_factor
@@ -157,6 +157,10 @@ def lfunction(curve, invariants: GlobalInvariants | None = None,
     m = min(N, N // 2 + 1) if direct_upto is None else min(N, direct_upto)
     if m < N and N - m - 1 > m:
         raise ValueError("direct_upto too small for the functional-equation fill")
+    try:                 # refuse a top degree beyond the exact tables early
+        ntt_prime(q, m)
+    except ValueError as exc:
+        raise ValueError(f"top degree m = {m}: {exc}") from None
 
     s = [0] * (m + 1)
     for x in inv.local_data:              # additive places contribute 0

@@ -1,6 +1,7 @@
 """Reference implementations that fast paths are tested against: scalar
-point counts over FieldElement and the orbit-walking search for place
-representatives (for the vectorised kernel in ffell.fastcount), and Tate's
+point counts over FieldElement, the orbit-walking search for place
+representatives and the per-place log-domain character sum (for the
+vectorised kernel and the whole-field tables in ffell.fastcount), and Tate's
 I_n* subprocedure, the tangent-slope split test and the rebuilt model at
 infinity (for the closed forms in ffell.reduction)."""
 
@@ -76,6 +77,32 @@ def orbit_representatives(T) -> np.ndarray:
         if len(orbit) == T.d:
             reps.append(c)
     return np.array(reps, dtype=np.int64)
+
+
+def per_place_cubic_sum(T, A: int, B: int) -> int:
+    """sum_u chi(u^3 + A u + B) over F_q for one pair of codes, on log
+    arrays alone.  With logs a, b of A, B and v = log u: u^2 + A has log
+    a + t, t = zech[2v - a + n], and w = u (u^2 + A) has log v + a + t, so
+    chi(w + B) = chi(B) zchi[v + t + (a - b) mod n], where zchi[k] =
+    chi(1 + g^k) repeats with period n below 3n and is chi(1 + 0) = 1 from
+    3n on.  A zero u^2 + A (t = ZERO) reads chi(B); u = 0 contributes
+    chi(B) too."""
+    n, zero = T.n, T.ZERO
+    zech = np.tile(T.zech, 2)                        # indexed on [0, 2n)
+    sgn = np.zeros(4 * n, dtype=np.int64)            # (-1)^k below ZERO
+    sgn[:zero] = 1 - 2 * (np.arange(zero) & 1)
+    zchi = np.ones(5 * n, dtype=np.int64)
+    zchi[:zero] = np.tile(sgn[T.zech], 3)
+    lv = np.arange(n)
+    lv2 = 2 * lv % n
+    a, b = int(T.log[A]), int(T.log[B])
+    if a == zero:
+        a, t = 0, lv2
+    else:
+        t = zech[lv2 + (n - a)]
+    if b == zero:          # sum chi(u) chi(u^2 + A)
+        return int(sgn[a]) * int(sgn[lv + t].sum())
+    return int(sgn[b]) * (1 + int(zchi[lv + t + (a - b) % n].sum()))
 
 
 def curve_at_infinity(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, int]:

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from ffell.algebra import Poly, PrimeField
 from ffell.cli import main
+from ffell.families import FAMILIES
 
 
 @pytest.fixture
@@ -85,6 +86,17 @@ class TestLFunction:
         res = runner.invoke(main, ["lfunction", "--ell", "5",
                                    intro_curve_file(tmp_path)])
         assert res.exit_code == 2
+
+    def test_top_degree_beyond_tables_exits_2(self, runner, tmp_path):
+        E = FAMILIES["even_4mod8"].instantiate(11, 1, 5)     # N = 12, m = 7
+        path = tmp_path / "even_4mod8.txt"
+        path.write_text("p=11\n" + "".join(
+            "%s=%s\n" % (k, [int(c) for c in getattr(E, k).coeffs])
+            for k in ("a2", "a4", "a6")))
+        res = runner.invoke(main, ["lfunction", str(path)])
+        assert res.exit_code == 2
+        assert "m = 7: q = 11^7 = 19487171" in res.stderr
+        assert "p (P - 1)^2 < 2^53" in res.stderr and not res.stdout
 
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "L.json"

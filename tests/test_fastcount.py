@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ffell.algebra import Poly, PrimeField
+from ffell import fastcount
+from ffell.algebra import Poly, PrimeField, is_prime
 from ffell.curves import WeierstrassCurve
-from ffell.fastcount import batch_traces, field_tables
+from ffell.fastcount import batch_traces, field_tables, ntt_prime
 from ffell.places import Place, count_places
-from oracles import count_fiber_points, count_points_cubic, orbit_representatives
+from oracles import (count_fiber_points, count_points_cubic,
+                     orbit_representatives, per_place_cubic_sum)
 
 
 def intro_Em(p, m):
@@ -177,3 +179,93 @@ class TestMinimalModelCount:
             Et = E.twist_by(pi * pi)
             assert Et.delta.valuation(pi) == 12
             assert count_fiber_points(Et, x) == count_fiber_points(E, x)
+
+
+# every (p, d) with p in {5, 7, 11, 13} and q = p^d <= 2500
+TABLE_FIELDS = [(p, d) for p in (5, 7, 11, 13) for d in range(1, 5)
+                if p ** d <= 2500]
+
+
+def discriminant_codes(T, A, B):
+    """Codes of 4 A^3 + 27 B^2 (the integers 4 and 27 have codes 4 mod p
+    and 27 mod p)."""
+    return T.add_codes(T.scale_codes(T.power_codes(3)[A], 4 % T.p),
+                       T.scale_codes(T.power_codes(2)[B], 27 % T.p))
+
+
+def draw_pairs(T, kind, data, size=8):
+    """Codes (A, B) of one kind: A = 0, B = 0, log A odd or even, or a
+    singular cubic A = -3 c^2, B = 2 c^3 (c = 0 included)."""
+    code = st.integers(0, T.q - 1)
+    logs = st.integers(0, T.n // 2 - 1)
+    ints = st.lists(code, min_size=size, max_size=size)
+    if kind == "singular":
+        c = np.array(data.draw(ints))
+        return (T.scale_codes(T.power_codes(2)[c], -3 % T.p),
+                T.scale_codes(T.power_codes(3)[c], 2))
+    B = np.array(data.draw(ints))
+    if kind == "A=0":
+        return np.zeros(size, dtype=np.int64), B
+    if kind == "B=0":
+        A = np.array(data.draw(st.lists(code.filter(bool), min_size=size,
+                                        max_size=size)))
+        return A, np.zeros(size, dtype=np.int64)
+    k = np.array(data.draw(st.lists(logs, min_size=size, max_size=size)))
+    return T.exp[2 * k + (kind == "log A odd")], B
+
+
+class TestCubicTableAgainstPerPlaceSum:
+    """The whole-field tables (the twist scaling and the exact DFT
+    correlation) against the per-place log-domain sum they replaced."""
+
+    @pytest.mark.parametrize("kind", ["A=0", "B=0", "log A odd",
+                                      "log A even", "singular"])
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(TABLE_FIELDS), st.data())
+    def test_lookup_matches_oracle(self, kind, field, data):
+        T = field_tables(*field)
+        A, B = draw_pairs(T, kind, data)
+        if kind == "singular":
+            assert not discriminant_codes(T, A, B).any()
+        got = T.cubic_sums(A, B)
+        assert got.dtype == np.int64
+        assert got.tolist() == [per_place_cubic_sum(T, a, b)
+                                for a, b in zip(A.tolist(), B.tolist())]
+
+    @pytest.mark.parametrize("p,d", [(5, 1), (5, 2), (7, 1), (7, 2),
+                                     (11, 1), (13, 1)])
+    def test_every_pair_of_small_fields(self, p, d):
+        T = field_tables(p, d)
+        A, B = np.divmod(np.arange(T.q * T.q), T.q)
+        assert T.cubic_sums(A, B).tolist() == [
+            per_place_cubic_sum(T, a, b) for a, b in zip(A.tolist(),
+                                                         B.tolist())]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(TABLE_FIELDS), st.data())
+    def test_hasse_bound_at_nonsingular_pairs(self, field, data):
+        T = field_tables(*field)
+        code = st.integers(0, T.q - 1)
+        A = np.array(data.draw(st.lists(code, min_size=16, max_size=16)))
+        B = np.array(data.draw(st.lists(code, min_size=16, max_size=16)))
+        good = discriminant_codes(T, A, B) != 0
+        S = T.cubic_sums(A[good], B[good])
+        assert (S * S <= 4 * T.q).all()
+
+
+class TestExactnessBound:
+    def test_ntt_prime(self):
+        for p, d in [(5, 1), (7, 5), (11, 5), (11, 6), (13, 5)]:
+            q, P = p ** d, ntt_prime(p, d)
+            assert P > 2 * q and P % p == 1 and is_prime(P)
+            assert not any(is_prime(c) for c in range(2 * q + 1, P, p))
+            assert p * (P - 1) ** 2 < 2 ** 53
+
+    def test_beyond_bound_refused_without_tables(self):
+        # q = 11^7: the check is integer arithmetic, no table is built
+        before = set(fastcount._TABLE_CACHE)
+        with pytest.raises(ValueError) as exc:
+            ntt_prime(11, 7)
+        msg = str(exc.value)
+        assert "11^7 = 19487171" in msg and "2^53" in msg
+        assert set(fastcount._TABLE_CACHE) == before

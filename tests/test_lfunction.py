@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from ffell import fastcount
 from ffell.algebra import Poly, PrimeField, legendre
 from ffell.curves import WeierstrassCurve
+from ffell.families import FAMILIES
 from ffell.lfunction import (GlobalInvariants, LFunctionPoly,
                              bsd_square_class_check, check_functional_equation,
                              frobenius_matrix_mod_ell, global_invariants,
@@ -72,6 +74,27 @@ class TestLFunction:
         E = intro_Em(5, 2)
         with pytest.raises(ValueError):
             lfunction(E, direct_upto=1)
+
+    def test_frontier_odd_1mod8_p11(self):
+        # N = 9 at p = 11: the top degree sums over F_{11^5}; the kernel
+        # that summed place by place gave these in 34 s
+        L = lfunction(FAMILIES["odd_1mod8"].instantiate(11, 1, 6))
+        assert list(L.coefficients) == [
+            1, 13, 164, 1540, -242, 2662, -2049740, -26412364, -253333223,
+            -2357947691]
+        assert L.epsilon == -1 and L.degree == 9
+        assert check_functional_equation(L) == (True, None)
+
+    def test_top_degree_beyond_tables_refused_first(self):
+        # even_4mod8 n=1 p=11 has N = 12, so m = 7 and q^m = 11^7 breaks
+        # the exact-DFT bound: refused before any table of degree <= 7
+        E = FAMILIES["even_4mod8"].instantiate(11, 1, 5)
+        inv = global_invariants(E)
+        assert inv.N == 12
+        before = set(fastcount._TABLE_CACHE)
+        with pytest.raises(ValueError, match=r"m = 7: q = 11\^7 = 19487171"):
+            lfunction(E, inv)
+        assert set(fastcount._TABLE_CACHE) == before
 
 
 class TestFunctionalEquation:
