@@ -18,7 +18,6 @@ import click
 
 from .algebra import Poly, PrimeField, is_prime
 from .curves import WeierstrassCurve
-from .families import FAMILIES, load_family_file, verify_profile
 from .lfunction import (bsd_square_class_check, check_functional_equation,
                         frobenius_matrix_mod_ell, global_invariants,
                         lfunction)
@@ -117,7 +116,10 @@ def reduce(curve_file, place, out):
     """Kodaira symbol and local invariants of a curve at one place."""
     E = load_curve_file(curve_file)
     x = _parse_place(E, place)
-    data = local_reduce(E, x)
+    try:
+        data = local_reduce(E, x)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     click.echo(f"place {x}: {data.kodaira}  ({data.reduction_type}, "
                f"c = {data.c})", err=True)
     _emit(data.to_json(), out)
@@ -182,6 +184,8 @@ def lfunction_cmd(curve_file, check_fe, ells, out):
 @click.option("--out", type=click.Path(), default=None)
 def verify_family(family, n, primes, ells, max_w, jobs, out):
     """Check a family's expected profile over a (p, w) grid."""
+    # imported here: loading it parses every built-in family declaration
+    from .families import FAMILIES, load_family_file, verify_profile
     if family in FAMILIES:
         fam = FAMILIES[family]
     elif os.path.exists(family):

@@ -10,18 +10,17 @@ from .algebra import FieldElement, Poly, PrimeField
 class WeierstrassCurve:
     """Short Weierstrass model with polynomial coefficients a2, a4, a6."""
 
-    def __init__(self, a2: Poly, a4: Poly, a6: Poly):
+    def __init__(self, a2: Poly, a4: Poly, a6: Poly, *, short=None):
+        """short: (A, B, Delta) of y^2 = x^3 + Ax + B, if already known."""
         self.field = a2.field
         if a4.field != self.field or a6.field != self.field:
             raise ValueError("coefficients over different fields")
         self.a2, self.a4, self.a6 = a2, a4, a6
-        b2 = 4 * a2
-        b4 = 2 * a4
-        b6 = 4 * a6
-        self.c4 = b2 * b2 - 24 * b4
-        self.c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
-        inv1728 = self.field(1728).inverse()
-        self.delta = (self.c4 ** 3 - self.c6 ** 2) * inv1728
+        if short is None:                         # x -> x - s, s = a2/3
+            s = a2 * self.field(3).inverse()
+            A, B = a4 - a2 * s, a6 - s * (a4 - 2 * s * s)
+            short = A, B, -16 * (4 * A ** 3 + 27 * B * B)
+        self.A, self.B, self.delta = short
         if not self.delta:
             raise ValueError("degenerate model: discriminant is zero")
 
@@ -32,13 +31,20 @@ class WeierstrassCurve:
 
     def short_coefficients(self):
         """(A, B) = (-c4/48, -c6/864): the model as y^2 = x^3 + A x + B."""
-        F = self.field
-        return -F(48).inverse() * self.c4, -F(864).inverse() * self.c6
+        return self.A, self.B
+
+    @property
+    def c4(self) -> Poly:
+        return -48 * self.A
+
+    @property
+    def c6(self) -> Poly:
+        return -864 * self.B
 
     def is_isotrivial(self) -> bool:
-        """Whether j = c4^3/Delta is constant, i.e. c4^3 is a constant
-        multiple (possibly 0) of Delta."""
-        q, r = divmod(self.c4 ** 3, self.delta)
+        """Whether j = c4^3/Delta = -110592 A^3/Delta is constant, i.e. A^3
+        is a constant multiple (possibly 0) of Delta."""
+        q, r = divmod(self.A ** 3, self.delta)
         return not r and q.degree <= 0
 
     def assert_nonisotrivial(self):
@@ -52,7 +58,11 @@ class WeierstrassCurve:
             d = Poly(self.field, [d])
         if not d:
             raise ValueError("twist by zero")
-        return WeierstrassCurve(self.a2 * d, self.a4 * d ** 2, self.a6 * d ** 3)
+        d2 = d * d
+        d3 = d2 * d
+        return WeierstrassCurve(self.a2 * d, self.a4 * d2, self.a6 * d3,
+                                short=(self.A * d2, self.B * d3,
+                                       self.delta * (d3 * d3)))
 
     def __repr__(self):
         return (f"WeierstrassCurve(p={self.field.p}, a2={self.a2!r}, "

@@ -6,7 +6,7 @@ beta in F_{p^d} of exact degree d with Delta(beta) != 0, and the fiber trace is
 the character sum a_x = -sum_u chi(u^3 + a2(beta) u^2 + a4(beta) u + a6(beta)).
 The translation u -> u - a2/3 (a bijection, the characteristic being >= 5)
 turns the cubic into u^3 + A u + B with A = -c4/48 and B = -c6/864, so only
-c4 and c6 are evaluated.  Minimal models at good places use the same sum.
+A and B are evaluated.  Minimal models at good places use the same sum.
 
 Elements of F_q (q = p^d) are named by integer codes 0..q-1, the base-p
 packing of the coefficient vector; representatives, Frobenius and chi are
@@ -223,7 +223,8 @@ def field_tables(p: int, d: int) -> FieldTables:
 def place_trace(pi, A, B) -> int:
     """a_x of y^2 = x^3 + A x + B (polynomials over F_p) at the finite place
     pi of good reduction, read in field_tables(p, deg pi) at the smallest
-    root of pi."""
+    root of pi; ntt_prime refuses a degree beyond them before any build."""
+    ntt_prime(pi.field.p, pi.degree)
     T = field_tables(pi.field.p, pi.degree)
     beta = np.flatnonzero(T.eval_poly(pi, np.arange(T.q)) == 0)[:1]
     return -int(T.cubic_sums(T.eval_poly(A, beta), T.eval_poly(B, beta))[0])

@@ -5,8 +5,7 @@ A finite place is a monic irreducible polynomial pi over F_q; the place at
 infinity has uniformizer 1/t and residue field F_q.  Residue fields are
 realized as F_q[t]/(pi), i.e. an ExtField with modulus pi (or F_q itself in
 degree 1), so the residue of a polynomial f is f mod pi read in that field.
-Reduction at infinity goes through the coordinate u = 1/t instead (see
-reduction.short_model_at_infinity).
+Reduction at infinity reads top coefficients instead (reduction.local_reduce).
 """
 
 from __future__ import annotations
@@ -70,9 +69,10 @@ def residue_field(x: Place):
 
 
 def reduce_at(f: Poly, x: Place) -> FieldElement:
-    """Image of the polynomial f in the residue field of the finite place x:
-    f mod pi, read in F_q[t]/(pi) (the image of t is the generator)."""
-    r = (f % x.pi).coeffs
+    """Image of the polynomial f in the residue field of x: f mod pi, read
+    in F_q[t]/(pi) (the image of t is the generator); f itself when
+    deg f < deg x, which also reduces constants at infinity."""
+    r = f.coeffs if f.degree < x.degree else (f % x.pi).coeffs
     r += (0,) * (x.degree - len(r))
     return FieldElement(residue_field(x), r[0] if x.degree == 1 else r)
 

@@ -6,10 +6,11 @@ split/non-split discrimination, a_x and the local root-number factor.
 The algorithm reads only the short model y^2 = x^3 + Ax + B, with
 A = -c4/48 and B = -c6/864, and Delta; v(A) = v(c4) and v(B) = v(c6).  At a
 finite place pi the minimal model is A/pi^(4s), B/pi^(6s), Delta/pi^(12s).
-Every quantity is a polynomial divided by a power of pi exactly (a nonzero
-remainder raises ValueError) and reduced as f mod pi into the residue field
-K, whose quadratic character is chi_K.  Tamagawa numbers and split types are
-then closed forms:
+Each residue read, f/pi^e mod pi for a minimal coefficient f, is 0 when
+v(f) > e and otherwise the leading pi-adic digit of A, B or Delta: the first
+nonzero remainder of the division chain that finds its valuation, so no power
+of pi is formed.  Residues lie in K = F_q[t]/(pi), with quadratic character
+chi_K.  Tamagawa numbers and split types are then closed forms:
 
 - I_n, n >= 1: split iff 6B is a square in K.  The node is at the double
   root x0 = -3B/(2A), the tangent slopes there are +-sqrt(3 x0), and
@@ -21,9 +22,10 @@ then closed forms:
 - I0*: 1 + the roots of T^3 + (A/pi^2) T + (B/pi^3) in K.  IV and IV*:
   3 if B/pi^2, resp. B/pi^4, is a square in K, else 1.
 
-The place at infinity is the place u = 0 in the coordinate u = 1/t: A, B
-and Delta, of weights 4, 6 and 12, become u^(4k) A(1/u), u^(6k) B(1/u) and
-u^(12k) Delta(1/u), their coefficient lists reversed at those degrees.
+At infinity (uniformizer u = 1/t, residue field F_q) the same algorithm
+reads u^w f(1/u) for (f, w) = (A, 4k), (B, 6k), (Delta, 12k), with
+k = max(1, ceil(deg A / 4), ceil(deg B / 6)): its valuation is w - deg f and
+its leading digit the top coefficient of f, so no division is needed.
 """
 
 from __future__ import annotations
@@ -117,8 +119,7 @@ class LocalReductionData:
         if self.place.is_infinite:
             place = "oo"
         else:
-            place = [int(c) if isinstance(c, int) else list(c)
-                     for c in self.place.pi.coeffs]
+            place = list(self.place.pi.coeffs)
         return {
             "place": place,
             "degree": self.degree,
@@ -132,41 +133,23 @@ class LocalReductionData:
         }
 
 
-def short_model_at_infinity(curve: WeierstrassCurve) -> tuple[Poly, Poly, Poly]:
-    """(A, B, Delta) of the curve in the coordinate u = 1/t, so that the
-    place at infinity becomes the finite place u = 0: each is reversed at
-    degree 4k, 6k and 12k, where k is the least weight >= 1 with
-    deg a_i <= i k for a2, a4 and a6."""
-    def degree_of(p):
-        return 0 if not p else int(p.degree)
-
-    k = max(1,
-            math.ceil(degree_of(curve.a2) / 2),
-            math.ceil(degree_of(curve.a4) / 4),
-            math.ceil(degree_of(curve.a6) / 6))
-
-    def rev(p: Poly, d: int) -> Poly:
-        cs = [0] * (d + 1)
-        for i, c in enumerate(p.coeffs):
-            cs[d - i] = c
-        return Poly._raw(curve.field, cs)
-
-    A, B = curve.short_coefficients()
-    return rev(A, 4 * k), rev(B, 6 * k), rev(curve.delta, 12 * k)
+def _leading(f: Poly, pi: Poly):
+    """(v, r): the valuation of f at pi and the leading digit f/pi^v mod pi,
+    the first nonzero remainder of f's division chain; (INF, 0) for f = 0."""
+    v = 0
+    while f:
+        f, r = divmod(f, pi)
+        if r:
+            return v, r
+        v += 1
+    return INF, f
 
 
-def _val(p: Poly, pi: Poly):
-    return INF if not p else p.valuation(pi)
-
-
-def _div(f: Poly, pi: Poly, k: int) -> Poly:
-    """f / pi^k, which must be a polynomial."""
-    if k == 0:
-        return f
-    q, r = divmod(f, pi ** k)
-    if r:
-        raise ValueError(f"({pi})^{k} does not divide {f!r}")
-    return q
+def _leading_at_infinity(f: Poly, w: int):
+    """(v, r) of u^w f(1/u) at u = 0, u = 1/t; (INF, 0) for f = 0."""
+    if not f:
+        return INF, f
+    return w - f.degree, Poly._raw(f.field, f.coeffs[-1:])
 
 
 def _classify(a, b, d) -> KodairaSymbol:
@@ -224,31 +207,35 @@ def _cubic_roots(a: FieldElement, b: FieldElement) -> int:
     return 3 if r == [zero, one, zero] else 0
 
 
-def _local_reduce_finite(A: Poly, B: Poly, delta: Poly,
-                         x: Place) -> LocalReductionData:
-    """Tate's algorithm at the finite place x on y^2 = x^3 + Ax + B with
-    discriminant delta."""
-    pi = x.pi
-    vA, vB, vd = _val(A, pi), _val(B, pi), delta.valuation(pi)
+def _tate(x: Place, pi: Poly, lead_A, lead_B, lead_delta):
+    """Tate's algorithm at x on y^2 = x^3 + Ax + B from the (valuation,
+    leading digit) pairs of A, B and Delta.  pi is x.pi, or t at infinity,
+    where the digits are constants: K = F_q = F_q[t]/(t)."""
+    (vA, rA), (vB, rB), (vd, rd) = lead_A, lead_B, lead_delta
     # A or B = 0 (j = 0 or 1728) bounds nothing; inf // 4 would be nan
     s = min(v // w for v, w in ((vA, 4), (vB, 6), (vd, 12)) if v != INF)
-    if s:
-        A, B = _div(A, pi, 4 * s), _div(B, pi, 6 * s)
-        delta = _div(delta, pi, 12 * s)
     a, b, d = vA - 4 * s, vB - 6 * s, vd - 12 * s
     sym = _classify(a, b, d)
     row = table_row(sym)
+    zero = Poly(pi.field, [])
+
+    def digit(r, v, e):
+        """f/pi^e mod pi for minimal f, v(f) = v >= e, leading digit r."""
+        return r if v == e else zero
 
     if sym.base == "I" and not sym.star and sym.n == 0:
+        A0, B0 = digit(rA, a, 0), digit(rB, b, 0)
         return LocalReductionData(
             x, sym, **row, c=1, reduction_type="good",
-            a_x=place_trace(pi, A, B), v_min_delta=d,
-            minimal_fiber=(residue_field(x).zero, reduce_at(A, x),
-                           reduce_at(B, x)))
+            a_x=place_trace(pi, A0, B0), v_min_delta=d,
+            minimal_fiber=(residue_field(x).zero, reduce_at(A0, x),
+                           reduce_at(B0, x)))
 
+    # beyond I0 and I0* the symbol fixes v(B): 0 at I_n, 3 at I_n*, 2 at IV
+    # and 4 at IV*, so rB (and rd, Delta's own) is the digit read
     if sym.base == "I" and not sym.star:  # multiplicative I_n, n >= 1
         n = sym.n
-        if legendre(reduce_at(6 * B, x)) == 1:
+        if legendre(6 * reduce_at(rB, x)) == 1:
             c, rtype, a_x = n, "split_mult", 1
         else:
             c, rtype, a_x = (2 if n % 2 == 0 else 1), "nonsplit_mult", -1
@@ -257,24 +244,19 @@ def _local_reduce_finite(A: Poly, B: Poly, delta: Poly,
 
     # additive types
     if sym.base == "I" and sym.star and sym.n == 0:
-        A2bar = reduce_at(_div(A, pi, 2), x)
-        B3bar = reduce_at(_div(B, pi, 3), x)
-        c = 1 + _cubic_roots(A2bar, B3bar)
+        c = 1 + _cubic_roots(reduce_at(digit(rA, a, 2), x),
+                             reduce_at(digit(rB, b, 3), x))
     elif sym.base == "I" and sym.star:
-        e = reduce_at(_div(delta, pi, d), x)
+        e = reduce_at(rd, x)
         if sym.n % 2:
-            e = e * reduce_at(_div(-6 * B, pi, 3), x)
+            e = e * (-6 * reduce_at(rB, x))
         c = 3 + legendre(e)
     elif sym.base == "II":
         c = 1
     elif sym.base == "III":
         c = 2
-    elif sym.base == "IV" and not sym.star:
-        B2bar = reduce_at(_div(B, pi, 2), x)
-        c = 3 if legendre(B2bar) == 1 else 1
-    elif sym.base == "IV" and sym.star:
-        B4bar = reduce_at(_div(B, pi, 4), x)
-        c = 3 if legendre(B4bar) == 1 else 1
+    elif sym.base == "IV":
+        c = 3 if legendre(reduce_at(rB, x)) == 1 else 1
     else:
         raise AssertionError(sym)
     return LocalReductionData(x, sym, **row, c=c, reduction_type="additive",
@@ -283,12 +265,14 @@ def _local_reduce_finite(A: Poly, B: Poly, delta: Poly,
 
 def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
     """Tate's algorithm at x (finite or infinite)."""
+    A, B = curve.short_coefficients()
     if x.is_infinite:
-        data = _local_reduce_finite(*short_model_at_infinity(curve),
-                                    Place.rational(curve.field, 0))
-        data.place = x
-        return data
-    return _local_reduce_finite(*curve.short_coefficients(), curve.delta, x)
+        k = max([1] + [math.ceil(f.degree / w) for f, w in ((A, 4), (B, 6))
+                       if f])
+        return _tate(x, Poly.t(curve.field),
+                     *(_leading_at_infinity(f, w * k)
+                       for f, w in ((A, 4), (B, 6), (curve.delta, 12))))
+    return _tate(x, x.pi, *(_leading(f, x.pi) for f in (A, B, curve.delta)))
 
 
 def tamagawa(curve: WeierstrassCurve, x: Place) -> int:

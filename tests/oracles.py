@@ -2,8 +2,9 @@
 point counts over FieldElement, the orbit-walking search for place
 representatives and the per-place log-domain character sum (for the
 vectorised kernel and the whole-field tables in ffell.fastcount), and Tate's
-I_n* subprocedure, the tangent-slope split test and the rebuilt model at
-infinity (for the closed forms in ffell.reduction)."""
+I_n* subprocedure, the tangent-slope split test, the rebuilt model at
+infinity and exact division by powers of pi (for the closed forms and the
+leading pi-adic digits in ffell.reduction)."""
 
 import math
 
@@ -13,9 +14,10 @@ from ffell.algebra import FieldElement, Poly, legendre
 from ffell.curves import WeierstrassCurve
 from ffell.fastcount import place_trace
 from ffell.places import Place, reduce_at, residue_field
-from ffell.reduction import (INF, LocalReductionData, _classify,
-                             _cubic_roots, _div, _val, local_reduce,
-                             table_row)
+from ffell.reduction import (LocalReductionData, _classify, _cubic_roots,
+                             local_reduce, table_row)
+
+INF = float("inf")
 
 
 def count_points_cubic(K, A2, A4, A6, method: str = "charsum") -> int:
@@ -126,6 +128,20 @@ def curve_at_infinity(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, int]:
 
     return WeierstrassCurve(rev(curve.a2, 2 * k), rev(curve.a4, 4 * k),
                             rev(curve.a6, 6 * k)), k
+
+
+def _val(p: Poly, pi: Poly):
+    return INF if not p else p.valuation(pi)
+
+
+def _div(f: Poly, pi: Poly, k: int) -> Poly:
+    """f / pi^k, which must be a polynomial."""
+    if k == 0:
+        return f
+    q, r = divmod(f, pi ** k)
+    if r:
+        raise ValueError(f"({pi})^{k} does not divide {f!r}")
+    return q
 
 
 def _lift(x: Place, a: FieldElement) -> Poly:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import ffell
+from ffell import fastcount
 from ffell.algebra import Poly, PrimeField
 from ffell.cli import main
 from ffell.families import FAMILIES
@@ -58,6 +63,17 @@ class TestReduce:
         res = runner.invoke(main, ["reduce", str(tmp_path / "none.txt"),
                                    "--place", "1"])
         assert res.exit_code == 2
+
+    def test_place_beyond_tables_exits_2(self, runner, tmp_path):
+        # a good place of degree 11 over F_5: refused before any table
+        path = tmp_path / "curve.txt"
+        path.write_text("p=5\na2=[]\na4=[0, 1]\na6=[1]\n")
+        before = set(fastcount._TABLE_CACHE)
+        res = runner.invoke(main, ["reduce", str(path), "--place",
+                                   "3,3,2,3,2,0,4,4,4,4,2,1"])
+        assert res.exit_code == 2
+        assert "2^53" in res.output and "Traceback" not in res.output
+        assert set(fastcount._TABLE_CACHE) == before
 
     def test_bad_place_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["reduce", intro_curve_file(tmp_path),
@@ -126,6 +142,16 @@ class TestVerifyFamily:
     def test_unknown_family_exits_2(self, runner):
         res = runner.invoke(main, ["verify-family", "nope", "--primes", "5"])
         assert res.exit_code == 2
+        assert all(fid in res.output for fid in FAMILIES)
+
+    def test_families_imported_only_by_verify_family(self):
+        # loading ffell.families parses every built-in declaration
+        code = "import sys, ffell.cli; print('ffell.families' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(ffell.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "False"
 
     def test_unattained_prime_exits_1(self, runner):
         res = runner.invoke(main, ["verify-family", "case1_2ns",

@@ -93,6 +93,18 @@ class TestTwist:
         assert Ett.delta == E.delta * d ** 12
         assert same_j(Ett, E)
 
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_scaled_short_model_matches_rebuilt(self, p):
+        # twist_by scales A, B and Delta instead of recomputing them
+        F = PrimeField(p)
+        t = Poly.t(F)
+        E = WeierstrassCurve(t + 2, t ** 3 + 1, 3 * t ** 2 + t)
+        for d in (Poly(F, [3]), t - 2, t * t + t + 3):
+            Et = E.twist_by(d)
+            rebuilt = WeierstrassCurve(E.a2 * d, E.a4 * d * d, E.a6 * d ** 3)
+            for name in ("a2", "a4", "a6", "A", "B", "delta", "c4", "c6"):
+                assert getattr(Et, name) == getattr(rebuilt, name), (d, name)
+
     def test_twist_by_t_minus_1(self):
         E = intro_base(5)
         d = Poly(E.field, [-1, 1])

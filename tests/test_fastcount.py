@@ -269,3 +269,13 @@ class TestExactnessBound:
         msg = str(exc.value)
         assert "11^7 = 19487171" in msg and "2^53" in msg
         assert set(fastcount._TABLE_CACHE) == before
+
+    def test_place_trace_beyond_bound_refused_without_tables(self):
+        # y^2 = x^3 + t x + 1 at a good place of degree 11 over F_5: the
+        # tables for 5^11 would take gigabytes, so nothing may be built
+        F = PrimeField(5)
+        x = Place.finite(F, Poly(F, [3, 3, 2, 3, 2, 0, 4, 4, 4, 4, 2, 1]))
+        before = set(fastcount._TABLE_CACHE)
+        with pytest.raises(ValueError, match="2\\^53"):
+            fastcount.place_trace(x.pi, Poly.t(F), Poly(F, [1]))
+        assert set(fastcount._TABLE_CACHE) == before

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from ffell.algebra import (Poly, PrimeField, build_extension, factor,
-                           is_irreducible, legendre)
+                           is_irreducible, is_prime, legendre)
 from ffell.curves import WeierstrassCurve
+from ffell.families import FAMILIES
 from ffell.places import Place, enumerate_places, reduce_at, residue_field
-from ffell.reduction import (KodairaSymbol, _cubic_roots, _div, local_reduce,
+from ffell.reduction import (KodairaSymbol, _cubic_roots, local_reduce,
                              local_root_factor, split_type, table_row,
                              tamagawa)
 
-from oracles import reference_local_reduce
+from oracles import _div, reference_local_reduce
 
 
 def intro_base(p):
@@ -376,3 +377,31 @@ class TestClosedFormsAgainstReference:
         for E, at0, at_inf in ((E0, "II", "IV*"), (E1, "III", "III*")):
             assert str(matches_reference(E, Place.rational(F, 0)).kodaira) == at0
             assert str(matches_reference(E, Place.infinity(F)).kodaira) == at_inf
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_infinity_weight_from_short_model(self, p):
+        # a2 = t^4, a4 = t^8/3, a6 = t^12/27 + c has A = 0 and B = c: the
+        # weight at infinity is 2 from the a_i but 1 from A and B
+        F = PrimeField(p)
+        t = Poly.t(F)
+        a2, a4 = t ** 4, t ** 8 * F(3).inverse()
+        for c in range(1, p):
+            E = WeierstrassCurve(a2, a4, t ** 12 * F(27).inverse() + c)
+            assert not E.A and E.B == Poly(F, [c])
+            data = matches_reference(E, Place.infinity(F))
+            assert str(data.kodaira) == "I0"
+
+    def test_bad_places_of_family_cells(self):
+        # the first W-cell of each built-in family at its first prime with
+        # one: the I_n*, IV*, III* and II* places the grids verify
+        symbols = set()
+        for fam in FAMILIES.values():
+            n = fam.nmin
+            p, w = next((p, fam.W_set(p, n)[0]) for p in range(5, 100)
+                        if is_prime(p) and fam.valid_prime(p, n)
+                        and fam.W_set(p, n))
+            E = fam.instantiate(p, n, w)
+            for x in bad_places(E):
+                symbols.add(str(matches_reference(E, x).kodaira))
+        assert {"I1*", "I2*", "I4*", "IV", "IV*", "III", "III*", "II",
+                "II*"} <= symbols
