@@ -12,6 +12,8 @@ class WeierstrassCurve:
 
     def __init__(self, a2: Poly, a4: Poly, a6: Poly, *, short=None):
         """short: (A, B, Delta) of y^2 = x^3 + Ax + B, if already known."""
+        self.twist_of = None  # (base, d) for a curve built by twist_by
+        self._memo = {}       # what twists read off this curve as a base
         self.field = a2.field
         if a4.field != self.field or a6.field != self.field:
             raise ValueError("coefficients over different fields")
@@ -41,9 +43,19 @@ class WeierstrassCurve:
     def c6(self) -> Poly:
         return -864 * self.B
 
+    def memoised(self, key, make):
+        """make(), computed once per curve; only a twist asks its base."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
     def is_isotrivial(self) -> bool:
         """Whether j = c4^3/Delta = -110592 A^3/Delta is constant, i.e. A^3
-        is a constant multiple (possibly 0) of Delta."""
+        is a constant multiple (possibly 0) of Delta.  Twisting fixes j, so
+        a twist reads its base's answer."""
+        if self.twist_of is not None:
+            base = self.twist_of[0]
+            return base.memoised("isotrivial", base.is_isotrivial)
         q, r = divmod(self.A ** 3, self.delta)
         return not r and q.degree <= 0
 
@@ -53,16 +65,20 @@ class WeierstrassCurve:
 
     def twist_by(self, d) -> "WeierstrassCurve":
         """Quadratic twist by d (a Poly or a constant): d*y^2 = rhs, rewritten
-        in short form; multiplies Delta by d^6 and fixes j."""
+        in short form; multiplies Delta by d^6 and fixes j.  The twist
+        records (self, d) as twist_of, so that its factored Delta, leading
+        digits and isotriviality are read off self."""
         if isinstance(d, (int, FieldElement)):
             d = Poly(self.field, [d])
         if not d:
             raise ValueError("twist by zero")
         d2 = d * d
         d3 = d2 * d
-        return WeierstrassCurve(self.a2 * d, self.a4 * d2, self.a6 * d3,
-                                short=(self.A * d2, self.B * d3,
-                                       self.delta * (d3 * d3)))
+        E = WeierstrassCurve(self.a2 * d, self.a4 * d2, self.a6 * d3,
+                             short=(self.A * d2, self.B * d3,
+                                    self.delta * (d3 * d3)))
+        E.twist_of = (self, d)
+        return E
 
     def __repr__(self):
         return (f"WeierstrassCurve(p={self.field.p}, a2={self.a2!r}, "

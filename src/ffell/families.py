@@ -127,9 +127,9 @@ class Family:
     ell_squares: tuple            # valid ell: these are squares mod ell
     ell_nonsquares: tuple         # ... and these are not
     waive_hypotheses: bool
-    # base models, valid_prime verdicts and h on W(F_p) by (kind, p, n); per
-    # instance, as an edited declaration may be parsed again under the same
-    # fid
+    # base models, valid_prime verdicts, f's roots and h on W(F_p) mod p by
+    # (kind, p, n); per instance, as an edited declaration may be parsed
+    # again under the same fid
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -155,6 +155,12 @@ class Family:
             return [Fraction(i) for i in idx]
         val = _h_of(self.h_pair(n) if which == "h" else self.g)
         return [val(i) for i in idx]
+
+    def f_roots_mod(self, p: int, n: int) -> list:
+        """The roots v_i of f reduced mod p, memoised; ValueError when a
+        denominator vanishes mod p."""
+        return self._memoised(("f", p, n), lambda: [
+            _fp_scalar(PrimeField(p), v) for v in self.f_values(n)])
 
     def valid_ell(self, ell) -> bool:
         return (all(_qr(a, ell) for a in self.ell_squares)
@@ -186,7 +192,7 @@ class Family:
             return False
         F = PrimeField(p)
         try:
-            vals = [_fp_scalar(F, v) for v in self.f_values(n)]
+            vals = self.f_roots_mod(p, n)
             specials = [_fp_scalar(F, loc) for loc, _, _
                         in self.profile[n % 2]["places"] if loc != "inf"]
             num, den = self.h_pair(n)
@@ -256,8 +262,8 @@ class Family:
                 elif kind == "a-h":
                     x = x * (F(a) - hw)
                 else:                                   # f(a)
-                    for v in self.f_values(n):
-                        x = x * (F(a) - _fp_scalar(F, v))
+                    for v in self.f_roots_mod(F.p, n):
+                        x = x * (F(a) - v)
             law *= legendre(x) ** n if to_n else legendre(x)
         return law
 
@@ -706,7 +712,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
     if "c_I0star" in prof:
         # the twist place and every root of f carry I_0*
         star_ok = True
-        for key in {hw} | {_fp_scalar(F, v) for v in fam.f_values(n)}:
+        for key in {hw} | set(fam.f_roots_mod(p, n)):
             d = by_loc.get(key)
             if not (d is not None and str(d.kodaira) == "I0*"
                     and d.c in prof["c_I0star"]):

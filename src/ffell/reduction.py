@@ -26,6 +26,15 @@ At infinity (uniformizer u = 1/t, residue field F_q) the same algorithm
 reads u^w f(1/u) for (f, w) = (A, 4k), (B, 6k), (Delta, 12k), with
 k = max(1, ceil(deg A / 4), ceil(deg B / 6)): its valuation is w - deg f and
 its leading digit the top coefficient of f, so no division is needed.
+
+A quadratic twist by d has A d^2, B d^3 and Delta d^6.  With (e, u) the
+valuation and leading digit of d at pi, its (v, r) pairs are its base's
+shifted and scaled, (v + k e, r u^k mod pi) for k = 2, 3, 6, and (INF, 0)
+stays (INF, 0).  So a twist walks only d's division chain and takes a few
+products mod pi; the base's pairs are memoised on the base, keyed by pi.  For
+a family member, the base model twisted by t - h(w), the base's pairs at the
+twist place (e = 1, u = 1) take one division each, and those at the base's
+own bad places are shared by every member.
 """
 
 from __future__ import annotations
@@ -195,16 +204,20 @@ def _cubic_roots(a: FieldElement, b: FieldElement) -> int:
     if legendre(-4 * a ** 3 - 27 * b * b) == -1:
         return 1
     K = a.field
-    zero, one = K.zero, K.one
-    r = [one, zero, zero]  # T^e mod the cubic, e running over the bits of |K|
+    mul, add, sub = K.mul, K.add, K.sub
+    a, b = a.raw, b.raw
+    zero, one = K.zero_raw, K.one_raw
+    # T^e mod the cubic, e running over the bits of |K|
+    u0, u1, u2 = one, zero, zero
     for bit in bin(K.order)[2:]:
-        u0, u1, u2 = r
-        c3, c4 = 2 * u1 * u2, u2 * u2  # square, then T^3 = -aT - b
-        r = [u0 * u0 - b * c3, 2 * u0 * u1 - a * c3 - b * c4,
-             u1 * u1 + 2 * u0 * u2 - a * c4]
+        d0 = add(u0, u0)
+        c3, c4 = mul(add(u1, u1), u2), mul(u2, u2)  # square; T^3 = -aT - b
+        u0, u1, u2 = (sub(mul(u0, u0), mul(b, c3)),
+                      sub(sub(mul(d0, u1), mul(a, c3)), mul(b, c4)),
+                      sub(add(mul(u1, u1), mul(d0, u2)), mul(a, c4)))
         if bit == "1":  # times T
-            r = [-b * r[2], r[0] - a * r[2], r[1]]
-    return 3 if r == [zero, one, zero] else 0
+            u0, u1, u2 = K.neg(mul(b, u2)), sub(u0, mul(a, u2)), u1
+    return 3 if (u0, u1, u2) == (zero, one, zero) else 0
 
 
 def _tate(x: Place, pi: Poly, lead_A, lead_B, lead_delta):
@@ -265,14 +278,37 @@ def _tate(x: Place, pi: Poly, lead_A, lead_B, lead_delta):
 
 def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
     """Tate's algorithm at x (finite or infinite)."""
-    A, B = curve.short_coefficients()
     if x.is_infinite:
+        A, B = curve.short_coefficients()
         k = max([1] + [math.ceil(f.degree / w) for f, w in ((A, 4), (B, 6))
                        if f])
         return _tate(x, Poly.t(curve.field),
                      *(_leading_at_infinity(f, w * k)
                        for f, w in ((A, 4), (B, 6), (curve.delta, 12))))
-    return _tate(x, x.pi, *(_leading(f, x.pi) for f in (A, B, curve.delta)))
+    return _tate(x, x.pi, *_digits(curve, x.pi))
+
+
+def _digits(curve: WeierstrassCurve, pi: Poly):
+    """The (v, r) pairs of A, B and Delta at pi.  A twist by d, with
+    (e, u) = _leading(d, pi), scales its base's pairs, memoised on the base,
+    to (v + k e, r u^k mod pi) for k = 2, 3, 6."""
+    if curve.twist_of is None:
+        A, B = curve.short_coefficients()
+        return [_leading(f, pi) for f in (A, B, curve.delta)]
+    base, d = curve.twist_of
+    pairs = base.memoised(("digits", pi.coeffs), lambda: _digits(base, pi))
+    e, u = _leading(d, pi)
+
+    def times(f, g):
+        """f g mod pi, f and g residues."""
+        h = f * g
+        return h % pi if h.degree >= pi.degree else h
+
+    u2 = times(u, u)
+    u3 = times(u2, u)
+    scales = ((2, u2), (3, u3), (6, times(u3, u3)))
+    return [(v + k * e, times(r, uk)) if v != INF else (v, r)
+            for (v, r), (k, uk) in zip(pairs, scales)]
 
 
 def tamagawa(curve: WeierstrassCurve, x: Place) -> int:

@@ -5,12 +5,13 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import ffell
 from ffell import fastcount
 from ffell.algebra import Poly, PrimeField
 from ffell.cli import main
-from ffell.families import FAMILIES
+from ffell.families import FAMILIES, FAMILY_DECLARATIONS
 
 
 @pytest.fixture
@@ -239,3 +240,120 @@ class TestLemma92:
         assert res.exit_code == 2
         assert "too large for exact int64" in res.output
         assert "Traceback" not in res.output
+
+
+# -- parser fuzzing: whatever the input, an exit code 0, 1 or 2 and never a
+# traceback (the small coefficient lists keep every curve's N <= 10)
+
+_INTS = st.integers(-12, 12) | st.just(10 ** 20)
+_JUNK = st.text(alphabet="pa2468=[], -0123456789x#\n;./e", max_size=12)
+
+
+def _coeff_list(max_size):
+    return st.lists(_INTS, max_size=max_size).map(
+        lambda cs: "[" + ", ".join(map(str, cs)) + "]")
+
+
+_CURVE_LINE = st.one_of(
+    st.tuples(st.just("p"), st.sampled_from(
+        ["5", "7", "4", "3", "-5", "x", "", "5.0", "1000003"]) | _JUNK),
+    st.tuples(st.sampled_from(["a2", "a4", "a6"]), _coeff_list(2) | _JUNK),
+    st.tuples(_JUNK, _JUNK)).map(lambda kv: f"{kv[0]}={kv[1]}")
+
+
+@st.composite
+def _curve_text(draw):
+    """A well-formed curve file over F_5 or F_7 with extra or broken lines
+    mixed in, or lines alone."""
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(_CURVE_LINE | _JUNK, max_size=6)))
+    lines = [f"p={draw(st.sampled_from(['5', '7', ' 5 ']))}"]
+    lines += [f"{k} = {draw(_coeff_list(2))}" for k in ("a2", "a4", "a6")]
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(_CURVE_LINE | _JUNK | st.just("# note")))
+    return "\n".join(lines)
+
+
+def _declaration_items():
+    out = []
+    for block in FAMILY_DECLARATIONS.split("\nid = ")[1:]:
+        items = []
+        for line in ("id = " + block).splitlines():
+            line = line.split("#", 1)[0]
+            items += [it.strip() for it in line.split(";") if it.strip()]
+        out.append(items)
+    return out
+
+
+_FAMILY_KEYS = ["nmin", "nmax", "exclude", "h", "g", "f", "a2", "a4", "N",
+                "gamma", "B", "place 0", "place inf", "place 1/0",
+                "c_I0star", "c_E_power_of", "equal_c", "eps", "ell_squares",
+                "waive", "condition", "h[even]", "place", "id"]
+_FAMILY_VALUES = st.sampled_from([
+    "[]", "[1]", "[0, 1]", "[1] / [0]", "[1/0]", "1", "0", "-1", "2n+1",
+    "{I2} {2}", "{}", "{I0*}", "{X}", "h(i) : 1 .. 4n", "lit(i+1) : 0 .. 0",
+    "g(i) : 1 .. n", "(h)", "(f(0))", "-(3 h)", "((", "yes", "maybe", "inf",
+    "1/0", "x", "", "0, inf", "A", "C", "D", "2, 3"])
+
+
+@st.composite
+def _family_text(draw):
+    """A built-in declaration with items dropped, rewritten or added."""
+    items = list(draw(st.sampled_from(_declaration_items())))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(items) - 1))
+        op = draw(st.integers(0, 3))
+        if op == 0 and len(items) > 1:
+            del items[i]
+        elif op == 1:
+            key = items[i].partition("=")[0]
+            items[i] = f"{key}= {draw(_FAMILY_VALUES)}"
+        elif op == 2:
+            items.insert(i, draw(_JUNK))
+        else:
+            items.insert(i, f"{draw(st.sampled_from(_FAMILY_KEYS))} = "
+                            f"{draw(_FAMILY_VALUES)}")
+    return "\n".join(items)
+
+
+_PLACE_SPEC = (st.text(alphabet="0123456789,-+ infoa.x", max_size=14)
+               | st.lists(_INTS, min_size=1, max_size=6).map(
+                   lambda cs: ",".join(map(str, cs))))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _invoke_clean(args, path=None, text=None):
+    if path is not None:
+        path.write_text(text)
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 1, 2), (args, text, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (args, text, res.exc_info)
+
+
+class TestParserFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(text=_curve_text())
+    def test_curve_file(self, fuzz_dir, text):
+        path = fuzz_dir / "curve.txt"
+        _invoke_clean(["lfunction", str(path)], path, text)
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=_family_text())
+    def test_family_file(self, fuzz_dir, text):
+        path = fuzz_dir / "family.txt"
+        _invoke_clean(["verify-family", str(path), "--primes", "5",
+                       "--max-w", "1", "--jobs", "1"], path, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_PLACE_SPEC)
+    def test_place_spec(self, fuzz_dir, spec):
+        path = fuzz_dir / "place_curve.txt"
+        _invoke_clean(["reduce", str(path), "--place", spec], path,
+                      "p=5\na2=[]\na4=[2, 0, 3]\na6=[1, 1]\n")

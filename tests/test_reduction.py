@@ -6,12 +6,14 @@ from ffell.algebra import (Poly, PrimeField, build_extension, factor,
                            is_irreducible, is_prime, legendre)
 from ffell.curves import WeierstrassCurve
 from ffell.families import FAMILIES
+from ffell.lfunction import delta_factors, global_invariants
 from ffell.places import Place, enumerate_places, reduce_at, residue_field
-from ffell.reduction import (KodairaSymbol, _cubic_roots, local_reduce,
-                             local_root_factor, split_type, table_row,
-                             tamagawa)
+from ffell.reduction import (KodairaSymbol, _cubic_roots, _digits, _leading,
+                             local_reduce, local_root_factor, split_type,
+                             table_row, tamagawa)
 
 from oracles import _div, reference_local_reduce
+from test_acceptance import PROFILE_GRIDS
 
 
 def intro_base(p):
@@ -405,3 +407,81 @@ class TestClosedFormsAgainstReference:
                 symbols.add(str(matches_reference(E, x).kodaira))
         assert {"I1*", "I2*", "I4*", "IV", "IV*", "III", "III*", "II",
                 "II*"} <= symbols
+
+
+def check_inherited(E):
+    """A twist's factored Delta, digits and isotriviality, read off its
+    base, against a fresh computation on its own A, B and Delta; returns
+    the factorization."""
+    facs = delta_factors(E)
+    assert facs == factor(E.delta)[1], E
+    for pi, _ in facs:
+        fresh = [_leading(f, pi) for f in (E.A, E.B, E.delta)]
+        assert _digits(E, pi) == fresh, (E, pi)
+    q, r = divmod(E.A ** 3, E.delta)
+    assert E.is_isotrivial() == (not r and q.degree <= 0), E
+    return facs
+
+
+def rebuilt(E):
+    """E's model as a curve that records no base."""
+    return WeierstrassCurve(E.a2, E.a4, E.a6)
+
+
+class TestTwistInheritance:
+    """Twists read their factored Delta, leading digits and isotriviality
+    off their base (lfunction.delta_factors, reduction._digits)."""
+
+    def test_every_grid_cell(self):
+        cells = 0
+        for (fid, n), primes in PROFILE_GRIDS.items():
+            fam = FAMILIES[fid]
+            for p in primes:
+                if not fam.valid_prime(p, n):
+                    continue
+                for w in fam.W_set(p, n):
+                    E = fam.instantiate(p, n, w)
+                    assert E.twist_of[0] is fam.base_curve(p, n)
+                    check_inherited(E)
+                    cells += 1
+        assert cells >= 307
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_small_twists(self, p):
+        F = PrimeField(p)
+        t = Poly.t(F)
+        beta = next(b for b in range(2, p) if legendre(F(b)) == -1)
+        E = intro_base(p)            # Delta_0 = c t^2 (t - 1)^9 (t + 1)^9
+        j0 = WeierstrassCurve(Poly(F, []), Poly(F, []), t * (t + 1))
+        d2 = 2 * (t - 1) * (t - 3)          # shares t - 1 with Delta_0
+        twists = [E.twist_by(beta), E.twist_by(d2),
+                  E.twist_by(t - 2).twist_by(t * t - 2 * t + 1),
+                  E.twist_by(d2).twist_by(beta * (t + 1)), j0.twist_by(t),
+                  j0.twist_by(t + 2).twist_by(t + 2)]
+        for Et in twists:
+            facs = dict(check_inherited(Et))
+            base, d = Et.twist_of
+            base_facs = dict(factor(base.delta)[1])
+            for pi, m in factor(d)[1]:
+                assert facs[pi] == base_facs.get(pi, 0) + 6 * m
+            plain = rebuilt(Et)
+            places = [Place.finite(F, pi) for pi in facs]
+            for x in places + [Place.infinity(F)]:
+                got = local_reduce(Et, x)
+                ref = local_reduce(plain, x)
+                assert got.to_json() == ref.to_json(), (Et, x)
+                assert got.minimal_fiber == ref.minimal_fiber, (Et, x)
+        # e > 0 at a base place: v(Delta) at t - 1 is 9 + 6
+        x = Place.rational(F, 1)
+        assert _digits(E.twist_by(d2), x.pi)[2][0] == 15
+
+    def test_only_bases_of_twists_memoise(self):
+        F = PrimeField(7)
+        E = intro_base(7)
+        global_invariants(E)
+        assert E.twist_of is None and E._memo == {}
+        Et = E.twist_by(Poly.t(F) - 2)
+        inv = global_invariants(Et)
+        assert Et._memo == {}
+        assert {"factors", "isotrivial"} <= set(E._memo)
+        assert inv.to_json() == global_invariants(rebuilt(Et)).to_json()
