@@ -3,8 +3,8 @@
 Elements of a prime field are stored as ints in [0, p); elements of an
 extension field F_{p^d} = F_p[z]/(m) as tuples of ints (coefficients of the
 residue polynomial, ascending), multiplied and inverted with the same F_p[t]
-helpers as Poly.  Field objects own the arithmetic on these raw values; the
-FieldElement wrapper supplies operators on top of that.
+helpers as Poly.  The field objects' methods (add, mul, inv, pow,
+legendre_raw, ...) on these raw values are the one way to compute in a field.
 
 Polynomials are over F_p only: ascending lists of ints with the reduction
 mod p inline, no field object per coefficient.
@@ -13,7 +13,6 @@ mod p inline, no field object per coefficient.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 
 def is_prime(n: int) -> bool:
@@ -43,6 +42,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def legendre(a: int, p: int) -> int:
+    """The Legendre symbol (a/p), p an odd prime, by Euler's criterion: 1 for
+    nonzero squares, -1 for nonsquares, 0 at 0."""
+    s = pow(a, (p - 1) // 2, p)
+    return -1 if s == p - 1 else s
+
+
 class PrimeField:
     """F_p for an odd prime p not in {2, 3}."""
 
@@ -65,11 +71,7 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
     # raw-value arithmetic -------------------------------------------------
-    def coerce(self, v):
-        if isinstance(v, FieldElement):
-            if v.field is self or v.field == self:
-                return v.raw
-            raise ValueError("element of a different field")
+    def coerce(self, v: int) -> int:
         return v % self.p
 
     zero_raw = 0
@@ -101,24 +103,11 @@ class PrimeField:
         return a == 0
 
     def legendre_raw(self, a) -> int:
-        if a % self.p == 0:
-            return 0
-        return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
+        return legendre(a, self.p)
 
     def elements(self):
-        for a in range(self.p):
-            yield FieldElement(self, a)
-
-    def __call__(self, v) -> "FieldElement":
-        return FieldElement(self, self.coerce(v))
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
+        """Every element, as raw values in code order."""
+        return range(self.p)
 
 
 # -- polynomials over F_p: ascending lists of ints in [0, p) ----------------
@@ -226,16 +215,9 @@ class ExtField:
     def __hash__(self):
         return hash(("ExtField", self.base.p, self.modulus))
 
-    def coerce(self, v):
-        if isinstance(v, FieldElement):
-            if v.field == self:
-                return v.raw
-            if v.field == self.base:
-                return self._make([v.raw])
-            raise ValueError("element of a different field")
-        if isinstance(v, int):
-            return self._make([v % self.base.p])
-        return self._make(list(v))
+    def coerce(self, v: int):
+        """The image of the integer v (an element of F_p)."""
+        return self._make([v])
 
     def _make(self, cs):
         p = self.base.p
@@ -249,10 +231,6 @@ class ExtField:
     @property
     def one_raw(self):
         return (1,) + (0,) * (self.degree - 1)
-
-    @property
-    def gen_raw(self):
-        return self._make([0, 1])
 
     def add(self, a, b):
         p = self.base.p
@@ -322,116 +300,8 @@ class ExtField:
         return tuple(cs)
 
     def elements(self):
-        for n in range(self.order):
-            yield FieldElement(self, self.decode(n))
-
-    def __call__(self, v) -> "FieldElement":
-        return FieldElement(self, self.coerce(v))
-
-    @property
-    def zero(self):
-        return FieldElement(self, self.zero_raw)
-
-    @property
-    def one(self):
-        return FieldElement(self, self.one_raw)
-
-    @property
-    def gen(self):
-        return FieldElement(self, self.gen_raw)
-
-
-class FieldElement:
-    """An element of a PrimeField or ExtField."""
-
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field, raw):
-        self.field = field
-        self.raw = raw
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field == self.field:
-                return other.raw
-            if (isinstance(self.field, ExtField)
-                    and other.field == self.field.base):
-                return self.field.coerce(other)
-            raise ValueError("elements of different fields")
-        if isinstance(other, int):
-            return self.field.coerce(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.raw, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.raw, r))
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(r, self.raw))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.raw))
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.raw, r))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.raw, self.field.inv(r)))
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(r, self.field.inv(self.raw)))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.raw, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            if other.field == self.field:
-                return other.raw == self.raw
-        if isinstance(other, int):
-            return self.raw == self.field.coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.raw))
-
-    def __bool__(self):
-        return not self.field.is_zero(self.raw)
-
-    def __repr__(self):
-        return f"{self.raw}"
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.raw))
-
-
-def legendre(a) -> int:
-    """Quadratic character: +1 for nonzero squares, -1 for nonsquares, 0 at 0."""
-    return a.field.legendre_raw(a.raw)
+        """Every element, as raw values in code order."""
+        return map(self.decode, range(self.order))
 
 
 class Poly:
@@ -467,7 +337,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.field == other.field and self.coeffs == other.coeffs
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, int):
             return self == Poly(self.field, [other])
         return NotImplemented
 
@@ -479,7 +349,7 @@ class Poly:
             if other.field == self.field:
                 return other
             raise ValueError("polynomials over different fields")
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, int):
             return Poly(self.field, [other])
         return NotImplemented
 
@@ -528,10 +398,10 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def lead(self) -> FieldElement:
+    def lead(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.field, self.coeffs[-1])
+        return self.coeffs[-1]
 
     def monic(self) -> "Poly":
         if not self.coeffs:
@@ -545,19 +415,12 @@ class Poly:
         return Poly._raw(self.field, [i * c % p for i, c in
                                       enumerate(self.coeffs) if i])
 
-    def __call__(self, x):
-        """Evaluate; x may live in F_p or in any ExtField over it."""
-        if isinstance(x, FieldElement):
-            G = x.field
-        else:
-            G = self.field
-            x = FieldElement(G, G.coerce(x))
-        acc = G.zero
+    def __call__(self, x: int) -> int:
+        """The value at x in F_p."""
+        p = self.field.p
+        acc = 0
         for c in reversed(self.coeffs):
-            ce = FieldElement(self.field, c)
-            if G != self.field:
-                ce = FieldElement(G, G.coerce(ce))
-            acc = acc * x + ce
+            acc = (acc * x + c) % p
         return acc
 
     def gcd(self, other) -> "Poly":
@@ -764,22 +627,3 @@ class SquareClass:
     @property
     def trivial(self):
         return not self.nontrivial
-
-
-def square_class(a: FieldElement) -> SquareClass:
-    s = legendre(a)
-    if s == 0:
-        raise ValueError("square class of zero is undefined")
-    return SquareClass(s == -1)
-
-
-def square_class_of_rational(r, ell: int) -> SquareClass:
-    """Square class of a nonzero rational reduced mod the odd prime ell."""
-    r = Fraction(r)
-    if r == 0:
-        raise ValueError("square class of zero is undefined")
-    num, den = r.numerator, r.denominator
-    if num % ell == 0 or den % ell == 0:
-        raise ValueError(f"{r} is not an ell-adic unit for ell={ell}")
-    F = PrimeField(ell)
-    return square_class(F(num) / F(den))

@@ -86,7 +86,7 @@ def _parse_place(curve, spec):
         if "," in spec:
             pi = Poly(F, [int(x) for x in spec.split(",")])
             return Place.finite(F, pi)
-        return Place.rational(F, F(int(spec)))
+        return Place.rational(F, int(spec))
     except ValueError as exc:
         raise click.UsageError(f"bad place spec {spec!r}: {exc}")
 

@@ -4,7 +4,7 @@ from the character sums in fastcount."""
 
 from __future__ import annotations
 
-from .algebra import FieldElement, Poly, PrimeField
+from .algebra import Poly, PrimeField
 
 
 class WeierstrassCurve:
@@ -19,7 +19,7 @@ class WeierstrassCurve:
             raise ValueError("coefficients over different fields")
         self.a2, self.a4, self.a6 = a2, a4, a6
         if short is None:                         # x -> x - s, s = a2/3
-            s = a2 * self.field(3).inverse()
+            s = a2 * pow(3, self.field.p - 2, self.field.p)
             A, B = a4 - a2 * s, a6 - s * (a4 - 2 * s * s)
             short = A, B, -16 * (4 * A ** 3 + 27 * B * B)
         self.A, self.B, self.delta = short
@@ -64,11 +64,11 @@ class WeierstrassCurve:
             raise ValueError("curve has constant j-invariant")
 
     def twist_by(self, d) -> "WeierstrassCurve":
-        """Quadratic twist by d (a Poly or a constant): d*y^2 = rhs, rewritten
+        """Quadratic twist by d (a Poly or an int): d*y^2 = rhs, rewritten
         in short form; multiplies Delta by d^6 and fixes j.  The twist
         records (self, d) as twist_of, so that its factored Delta, leading
         digits and isotriviality are read off self."""
-        if isinstance(d, (int, FieldElement)):
+        if isinstance(d, int):
             d = Poly(self.field, [d])
         if not d:
             raise ValueError("twist by zero")

@@ -90,7 +90,7 @@ def _fp_poly(F: PrimeField, coeffs) -> Poly:
 
 
 def _qr(a, ell) -> bool:
-    return pow(a % ell, (ell - 1) // 2, ell) == 1
+    return legendre(a, ell) == 1
 
 
 def _loc_key(F: PrimeField, loc):
@@ -211,10 +211,10 @@ class Family:
     def h_mod_p(self, p: int, n: int, w: int) -> int:
         F = PrimeField(p)
         num, den = self.h_pair(n)
-        d = _fp_poly(F, den)(F(w))
+        d = _fp_poly(F, den)(w)
         if not d:
             raise ValueError(f"{self.fid}: beta({w}) = 0 mod {p}")
-        return int((_fp_poly(F, num)(F(w)) / d).raw)
+        return _fp_poly(F, num)(w) * pow(d, p - 2, p) % p
 
     def h_on_W(self, p: int, n: int) -> dict:
         """h(w) mod p for every w in W(F_p), keyed by w in ascending order."""
@@ -226,11 +226,11 @@ class Family:
         num, den = (_fp_poly(F, c) for c in self.h_pair(n))
         out = {}
         for w in range(p):
-            dw = den(F(w))
+            dw = den(w)
             if dw:
-                hw = num(F(w)) / dw
+                hw = num(w) * pow(dw, p - 2, p) % p
                 if delta(hw):
-                    out[w] = int(hw.raw)
+                    out[w] = hw
         return out
 
     def W_set(self, p: int, n: int) -> list:
@@ -246,25 +246,25 @@ class Family:
             raise ValueError(f"{self.fid}: w={w} not in W(F_{p})")
         return self.base_curve(p, n).twist_by(Poly.t(PrimeField(p)) - hw)
 
-    def eps_value(self, F: PrimeField, n: int, hw=None):
+    def eps_value(self, p: int, n: int, hw=None):
         """The root number the law predicts at a cell with h(w) = hw mod p
         (a law free of h needs no hw), or None when no law is stated."""
         if self.eps is None:
             return None
         law, factors = self.eps
         for atoms, to_n in factors:
-            x = F(1)
+            x = 1
             for kind, a in atoms:
                 if kind == "c":
-                    x = x * F(a)
+                    x = x * a % p
                 elif kind == "h":
-                    x = x * F(hw)
+                    x = x * hw % p
                 elif kind == "a-h":
-                    x = x * (F(a) - hw)
+                    x = x * (a - hw) % p
                 else:                                   # f(a)
-                    for v in self.f_roots_mod(F.p, n):
-                        x = x * (F(a) - v)
-            law *= legendre(x) ** n if to_n else legendre(x)
+                    for v in self.f_roots_mod(p, n):
+                        x = x * (a - v) % p
+            law *= legendre(x, p) ** n if to_n else legendre(x, p)
         return law
 
     def _law_mentions_h(self) -> bool:
@@ -281,7 +281,7 @@ class Family:
         """Whether conditions (B)/(C) meet a law free of h that is -1 at p,
         so that no w at p can attain them."""
         return (self.condition != "A" and not self._law_mentions_h()
-                and self.eps_value(PrimeField(p), n) == -1)
+                and self.eps_value(p, n) == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +743,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
         checks["hyp_6B_le_N"] = 6 * inv.B <= inv.N
 
     # closed-form root-number law
-    law = fam.eps_value(F, n, hw)
+    law = fam.eps_value(p, n, hw)
     if law is not None:
         checks["epsilon_law"] = inv.epsilon == law
 

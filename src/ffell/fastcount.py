@@ -236,10 +236,17 @@ def batch_traces(curve, d: int):
     Returns (reps, traces): representative codes (ascending) of the places of
     degree d with Delta(beta) != 0, and the matching int64 trace array.
     Places dividing the model discriminant are skipped; handle them (and the
-    place at infinity) through local reduction.
+    place at infinity) through local reduction.  As Delta = -16 (4 A^3 +
+    27 B^2) and p >= 5, Delta(beta) != 0 exactly when the logs of 4 A(beta)^3
+    and -27 B(beta)^2 differ, so Delta itself is never evaluated.
     """
-    T = field_tables(curve.field.p, d)
+    p = curve.field.p
+    T = field_tables(p, d)
     reps = T.degree_d_representatives()
-    reps = reps[T.eval_poly(curve.delta, reps) != 0]
     A, B = curve.short_coefficients()
-    return reps, -T.cubic_sums(T.eval_poly(A, reps), T.eval_poly(B, reps))
+    a, b = T.eval_poly(A, reps), T.eval_poly(B, reps)
+    la, lb = T.log[a], T.log[b]
+    n, zero = T.n, T.ZERO
+    keep = (np.where(la == zero, zero, (T.log[4] + 3 * la) % n)
+            != np.where(lb == zero, zero, (T.log[-27 % p] + 2 * lb) % n))
+    return reps[keep], -T.cubic_sums(a[keep], b[keep])

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Poly, SquareClass, _prime_factors, factor, is_prime
+from .algebra import (Poly, SquareClass, _prime_factors, factor, is_prime,
+                      legendre)
 from .fastcount import batch_traces, ntt_prime
 from .orthogonal import det_mod
 from .places import Place
@@ -238,8 +239,7 @@ def _square_class_mod_rational(r: Fraction, ell: int):
         v -= 1
     if v % 2:
         return None
-    u = num * pow(den, ell - 2, ell) % ell
-    return SquareClass(pow(u, (ell - 1) // 2, ell) != 1)
+    return SquareClass(legendre(num * den, ell) == -1)
 
 
 def bsd_square_class_check(curve, L: LFunctionPoly, ell: int,

@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import SquareClass, is_prime
+from .algebra import SquareClass, is_prime, legendre
 
 
 def _as_mod_array(entries, ell: int) -> np.ndarray:
@@ -59,10 +59,10 @@ def det_mod(M: np.ndarray, ell: int) -> int:
 
 
 def square_class_mod(a: int, ell: int) -> SquareClass:
-    a %= ell
-    if a == 0:
+    s = legendre(a, ell)
+    if s == 0:
         raise ValueError("zero has no square class")
-    return SquareClass(pow(a, (ell - 1) // 2, ell) != 1)
+    return SquareClass(s == -1)
 
 
 class OrthogonalSpace:

@@ -10,7 +10,7 @@ Reduction at infinity reads top coefficients instead (reduction.local_reduce).
 
 from __future__ import annotations
 
-from .algebra import ExtField, FieldElement, Poly, PrimeField, is_irreducible
+from .algebra import ExtField, Poly, PrimeField, is_irreducible
 
 
 class Place:
@@ -24,7 +24,7 @@ class Place:
             self.pi = None
             self.degree = 1
         else:
-            if pi.lead() != field.one:
+            if pi.lead() != 1:
                 raise ValueError("finite place polynomial must be monic")
             if not is_irreducible(pi):
                 raise ValueError("finite place polynomial must be irreducible")
@@ -40,9 +40,9 @@ class Place:
         return cls(field, pi)
 
     @classmethod
-    def rational(cls, field, a) -> "Place":
+    def rational(cls, field, a: int) -> "Place":
         """The degree-1 place t = a."""
-        return cls(field, Poly(field, [-field(a), 1]))
+        return cls(field, Poly(field, [-a, 1]))
 
     @property
     def is_infinite(self) -> bool:
@@ -68,13 +68,14 @@ def residue_field(x: Place):
     return ExtField(x.field, list(x.pi.coeffs))
 
 
-def reduce_at(f: Poly, x: Place) -> FieldElement:
-    """Image of the polynomial f in the residue field of x: f mod pi, read
-    in F_q[t]/(pi) (the image of t is the generator); f itself when
-    deg f < deg x, which also reduces constants at infinity."""
+def reduce_at(f: Poly, x: Place):
+    """Image of the polynomial f in the residue field of x, as a raw value of
+    residue_field(x): f mod pi, read in F_q[t]/(pi) (the image of t is the
+    generator); f itself when deg f < deg x, which also reduces constants at
+    infinity."""
     r = f.coeffs if f.degree < x.degree else (f % x.pi).coeffs
     r += (0,) * (x.degree - len(r))
-    return FieldElement(residue_field(x), r[0] if x.degree == 1 else r)
+    return r[0] if x.degree == 1 else r
 
 
 def count_places(q: int, d: int) -> int:

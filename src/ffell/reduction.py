@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import FieldElement, Poly, legendre
+from .algebra import Poly, legendre
 from .curves import WeierstrassCurve
 from .fastcount import place_trace
 from .places import Place, reduce_at, residue_field
@@ -193,19 +193,20 @@ def _classify(a, b, d) -> KodairaSymbol:
     raise AssertionError(f"non-minimal valuations after rescaling: {(a, b, d)}")
 
 
-def _cubic_roots(a: FieldElement, b: FieldElement) -> int:
-    """Number of roots in K = a.field of T^3 + aT + b, assumed separable.
+def _cubic_roots(K, a, b) -> int:
+    """Number of roots in the field K of T^3 + aT + b (a, b raw values of K),
+    assumed separable.
 
     By Stickelberger's theorem the discriminant -4a^3 - 27b^2 is a nonsquare
     exactly when the cubic is a linear times an irreducible quadratic
     factor.  Otherwise it splits completely or is irreducible, and it splits
     iff T^|K| = T modulo the cubic.
     """
-    if legendre(-4 * a ** 3 - 27 * b * b) == -1:
-        return 1
-    K = a.field
     mul, add, sub = K.mul, K.add, K.sub
-    a, b = a.raw, b.raw
+    disc = add(mul(K.coerce(-4), mul(a, mul(a, a))),
+               mul(K.coerce(-27), mul(b, b)))
+    if K.legendre_raw(disc) == -1:
+        return 1
     zero, one = K.zero_raw, K.one_raw
     # T^e mod the cubic, e running over the bits of |K|
     u0, u1, u2 = one, zero, zero
@@ -231,24 +232,28 @@ def _tate(x: Place, pi: Poly, lead_A, lead_B, lead_delta):
     sym = _classify(a, b, d)
     row = table_row(sym)
     zero = Poly(pi.field, [])
+    K = residue_field(x)
 
     def digit(r, v, e):
         """f/pi^e mod pi for minimal f, v(f) = v >= e, leading digit r."""
         return r if v == e else zero
+
+    def chi(f):
+        """chi_K of the residue of the polynomial f."""
+        return K.legendre_raw(reduce_at(f, x))
 
     if sym.base == "I" and not sym.star and sym.n == 0:
         A0, B0 = digit(rA, a, 0), digit(rB, b, 0)
         return LocalReductionData(
             x, sym, **row, c=1, reduction_type="good",
             a_x=place_trace(pi, A0, B0), v_min_delta=d,
-            minimal_fiber=(residue_field(x).zero, reduce_at(A0, x),
-                           reduce_at(B0, x)))
+            minimal_fiber=(K.zero_raw, reduce_at(A0, x), reduce_at(B0, x)))
 
     # beyond I0 and I0* the symbol fixes v(B): 0 at I_n, 3 at I_n*, 2 at IV
     # and 4 at IV*, so rB (and rd, Delta's own) is the digit read
     if sym.base == "I" and not sym.star:  # multiplicative I_n, n >= 1
         n = sym.n
-        if legendre(6 * reduce_at(rB, x)) == 1:
+        if chi(6 * rB) == 1:
             c, rtype, a_x = n, "split_mult", 1
         else:
             c, rtype, a_x = (2 if n % 2 == 0 else 1), "nonsplit_mult", -1
@@ -257,19 +262,16 @@ def _tate(x: Place, pi: Poly, lead_A, lead_B, lead_delta):
 
     # additive types
     if sym.base == "I" and sym.star and sym.n == 0:
-        c = 1 + _cubic_roots(reduce_at(digit(rA, a, 2), x),
+        c = 1 + _cubic_roots(K, reduce_at(digit(rA, a, 2), x),
                              reduce_at(digit(rB, b, 3), x))
     elif sym.base == "I" and sym.star:
-        e = reduce_at(rd, x)
-        if sym.n % 2:
-            e = e * (-6 * reduce_at(rB, x))
-        c = 3 + legendre(e)
+        c = 3 + chi(rd * (-6 * rB) if sym.n % 2 else rd)
     elif sym.base == "II":
         c = 1
     elif sym.base == "III":
         c = 2
     elif sym.base == "IV":
-        c = 3 if legendre(reduce_at(rB, x)) == 1 else 1
+        c = 3 if chi(rB) == 1 else 1
     else:
         raise AssertionError(sym)
     return LocalReductionData(x, sym, **row, c=c, reduction_type="additive",
@@ -329,4 +331,4 @@ def local_root_factor(data: LocalReductionData) -> int:
     if data.reduction_type == "split_mult":
         return -1
     # -r lies in F_p, so chi_K(-r) = chi_{F_p}(-r)^[K : F_p]
-    return legendre(data.place.field(-data.r)) ** data.degree
+    return legendre(-data.r, data.place.field.p) ** data.degree

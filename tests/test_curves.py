@@ -26,7 +26,7 @@ class TestQuantities:
             E = intro_base(p)
             F = E.field
             t = Poly.t(F)
-            expected = F(-2 ** 6 * 3 ** 3) * t ** 2 * (t - 1) ** 9 * (t + 1) ** 9
+            expected = (-2 ** 6 * 3 ** 3) * t ** 2 * (t - 1) ** 9 * (t + 1) ** 9
             assert E.delta == expected
 
     def test_constant_curve_formulas(self):
@@ -44,7 +44,7 @@ class TestQuantities:
         t = Poly.t(F)
         f = (t - 3)  # any f; the identity is formal
         E = WeierstrassCurve(Poly(F, []), -3 * t * f ** 2, 2 * t ** 2 * f ** 3)
-        assert E.delta == F(-2 ** 6 * 3 ** 3) * f ** 6 * t ** 3 * (t - 1)
+        assert E.delta == (-2 ** 6 * 3 ** 3) * f ** 6 * t ** 3 * (t - 1)
 
     def test_degenerate_rejected(self):
         F = PrimeField(5)
@@ -121,14 +121,13 @@ class TestCounting:
     def test_constant_fiber_oracle(self):
         # y^2 = x^3 + x over F_5 has 4 points
         F = PrimeField(5)
-        n = count_points_cubic(F, F.zero, F.one, F.zero, method="naive")
+        n = count_points_cubic(F, 0, 1, 0, method="naive")
         assert n == 4
-        assert count_points_cubic(F, F.zero, F.one, F.zero) == 4
+        assert count_points_cubic(F, 0, 1, 0) == 4
 
     def test_methods_agree_extension(self):
         K = build_extension(5, 2)
-        A2, A4, A6 = K(3), K.decode(7), K.decode(11)
-        A4, A6 = K(A4), K(A6)
+        A2, A4, A6 = K.coerce(3), K.decode(7), K.decode(11)
         naive = count_points_cubic(K, A2, A4, A6, method="naive")
         chars = count_points_cubic(K, A2, A4, A6, method="charsum")
         assert naive == chars
@@ -148,12 +147,12 @@ class TestCounting:
     def test_constant_nonsquare_twist_flips_a(self):
         for p in (5, 7, 11):
             F = PrimeField(p)
-            beta = next(b for b in range(2, p) if legendre(F(b)) == -1)
+            beta = next(b for b in range(2, p) if legendre(b, p) == -1)
             E = intro_base(p)
             Et = E.twist_by(beta)
             for a0 in range(p):
                 x = Place.rational(F, a0)
-                if not E.delta(F(a0)):
+                if not E.delta(a0):
                     continue
                 assert (count_fiber_points(Et, x)
                         == -count_fiber_points(E, x))

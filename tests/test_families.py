@@ -64,8 +64,8 @@ class TestBaseModels:
         t = Poly.t(F)
         f = Poly(F, [1])
         for v in fam.f_values(n):
-            f = f * (t - F(v.numerator) / F(v.denominator))
-        expect = (F(-2 ** 6 * 3 ** 6) * f ** 6 * t ** 4
+            f = f * (t - v.numerator * pow(v.denominator, p - 2, p))
+        expect = ((-2 ** 6 * 3 ** 6) * f ** 6 * t ** 4
                   * (t - 1) ** 3 * (t - 2) ** 2)
         assert E.delta.coeffs == expect.coeffs
 
@@ -78,8 +78,8 @@ class TestBaseModels:
         t = Poly.t(F)
         f = Poly(F, [1])
         for v in fam.f_values(n):
-            f = f * (t - F(v.numerator) / F(v.denominator))
-        expect = (F(2 ** 4 * 3 ** 6) * f ** 6 * t ** 10
+            f = f * (t - v.numerator * pow(v.denominator, p - 2, p))
+        expect = (2 ** 4 * 3 ** 6 * f ** 6 * t ** 10
                   * (t - 1) ** 2 * (t + 1) ** 2)
         assert E.delta.coeffs == expect.coeffs
 
@@ -117,10 +117,9 @@ class TestGrid:
         fam = FAMILIES["intro_N5"]
         p = 11
         W = fam.W_set(p, 0)
-        F = PrimeField(p)
         delta = fam.base_curve(p, 0).delta
         for w in range(p):
-            beta = F(3) + F(w) ** 2
+            beta = (3 + w * w) % p
             ok = bool(beta) and bool(delta(fam.h_mod_p(p, 0, w))) if beta \
                 else False
             assert (w in W) == ok
