@@ -1,11 +1,11 @@
 """Reference implementations that fast paths are tested against: scalar
 point counts and Horner evaluation on the raw-value methods of the field
-objects, the orbit-walking search for place
-representatives and the per-place log-domain character sum (for the
-vectorised kernel and the whole-field tables in ffell.fastcount), and Tate's
-I_n* subprocedure, the tangent-slope split test, the rebuilt model at
-infinity and exact division by powers of pi (for the closed forms and the
-leading pi-adic digits in ffell.reduction)."""
+objects, the orbit-walking search for place representatives and the
+per-place log-domain character sum (for the vectorised kernel and the
+whole-field tables in ffell.fastcount), and Tate's I_n* subprocedure, the
+tangent-slope split test, the rebuilt model at infinity and exact division
+by powers of pi (for the closed forms and the leading pi-adic digits in
+ffell.reduction)."""
 
 import math
 

@@ -89,8 +89,8 @@ class TestBatchTraces:
                                      (13, 2)])
     def test_skips_exactly_the_zeros_of_delta(self, p, d):
         # the mask from the logs of 4 A^3 and -27 B^2 against evaluating
-        # Delta itself; the j = 0 and j = 1728 models put zeros of A and B
-        # (the ZERO sentinel) at good places
+        # Delta itself; the j = 0 (A = 0) and j = 1728 (B = 0) models read
+        # the ZERO sentinel at every place, good ones included
         F = PrimeField(p)
         t = Poly.t(F)
         T = field_tables(p, d)

@@ -101,7 +101,6 @@ class TestIntroFamily:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_tamagawa_dichotomy(self, p):
         # 2 c_{E_m} in {16, 64} iff -3(m^2-1) is a square, else 32
-        F = PrimeField(p)
         for m in range(p):
             if m * (m * m - 1) % p == 0:
                 continue
@@ -117,7 +116,6 @@ class TestIntroFamily:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_epsilon_dichotomy(self, p):
         # -eps_{E_m} = +1 iff -3m is a square
-        F = PrimeField(p)
         for m in range(p):
             if m * (m * m - 1) % p == 0:
                 continue
@@ -195,7 +193,6 @@ class TestInStarSubprocedure:
 class TestTwistLaws:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_constant_nonsquare_twist(self, p):
-        F = PrimeField(p)
         beta = next(b for b in range(2, p) if legendre(b, p) == -1)
         E = intro_Em(p, 2 if p != 5 else 3)
         Et = E.twist_by(beta)
