@@ -2,7 +2,8 @@
 verification, and the excluded-order certification sweep.
 
 Exit codes: 0 = all checks pass, 1 = a mathematical check failed,
-2 = usage or parse error, or a verify-family grid with every prime skipped
+2 = usage or parse error (an --ell that is not a prime >= 5, a lemma92
+--ell-max below 5), or a verify-family grid with every prime skipped
 (nothing verified).  All commands are deterministic; JSON is the
 machine interface (written to --out when given, printed otherwise) and a
 short human-readable summary goes to the terminal alongside.
@@ -248,7 +249,8 @@ def _witnesses():
 
 
 @main.command("lemma92")
-@click.option("--ell-max", type=int, default=97, show_default=True,
+@click.option("--ell-max", type=click.IntRange(min=5), default=97,
+              show_default=True,
               help="Certify every prime ell with 5 <= ell <= ell-max.")
 @click.option("--ell", "ells", default="",
               help="Explicit comma-separated list instead of a sweep.")

@@ -755,8 +755,6 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
         notes.append("root number -1: condition not attainable at this cell")
     else:
         for ell in ells:
-            if not is_prime(ell) or ell < 5:
-                continue
             if not fam.valid_ell(ell) or (6 * p * inv.script_L) % ell == 0:
                 continue
             checks[f"condition_{fam.condition}_ell{ell}"] = _condition_holds(
@@ -789,7 +787,8 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
                    max_w: int | None = None, jobs: int = 1) -> CriterionReport:
     """Run the full per-cell comparison over the (p, w) grid.
 
-    Failures are recorded in the report, never raised.  Primes that hit the
+    Failures are recorded in the report, never raised; a max_w below 1 or
+    an ell that is not a prime >= 5 raises ValueError.  Primes that hit the
     family's excluded set or a mod-p degeneracy are listed as skipped.  With
     jobs > 1 the cells are analyzed by a process pool and merged back in
     grid order, so reports are identical to a serial run."""
@@ -797,6 +796,9 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
         fam = FAMILIES[fam]
     if max_w is not None and max_w < 1:
         raise ValueError(f"max_w must be at least 1, got {max_w}")
+    for ell in ells:
+        if not is_prime(ell) or ell < 5:
+            raise ValueError(f"ell={ell} is not a prime >= 5")
     rep = CriterionReport(family=fam.fid, n=n, condition=fam.condition)
     if fam.waive_hypotheses:
         rep.waivers = ["I0* at only one affine closed point", "6B > N"]

@@ -71,8 +71,7 @@ def residue_field(x: Place):
 def reduce_at(f: Poly, x: Place):
     """Image of the polynomial f in the residue field of x, as a raw value of
     residue_field(x): f mod pi, read in F_q[t]/(pi) (the image of t is the
-    generator); f itself when deg f < deg x, which also reduces constants at
-    infinity."""
+    generator); f itself when deg f < deg x."""
     r = f.coeffs if f.degree < x.degree else (f % x.pi).coeffs
     r += (0,) * (x.degree - len(r))
     return r[0] if x.degree == 1 else r

@@ -4,13 +4,17 @@ residue characteristic is >= 5), table invariants, Tamagawa number,
 split/non-split discrimination, a_x and the local root-number factor.
 
 The algorithm reads only the short model y^2 = x^3 + Ax + B, with
-A = -c4/48 and B = -c6/864, and Delta; v(A) = v(c4) and v(B) = v(c6).  At a
-finite place pi the minimal model is A/pi^(4s), B/pi^(6s), Delta/pi^(12s).
-Each residue read, f/pi^e mod pi for a minimal coefficient f, is 0 when
-v(f) > e and otherwise the leading pi-adic digit of A, B or Delta: the first
-nonzero remainder of the division chain that finds its valuation, so no power
-of pi is formed.  Residues lie in K = F_q[t]/(pi), with quadratic character
-chi_K.  Tamagawa numbers and split types are then closed forms:
+A = -c4/48 and B = -c6/864, and Delta; v(A) = v(c4) and v(B) = v(c6).
+Infinity is an ordinary place with uniformizer pi = 1/t: there v(f) = -deg f
+and the leading digit of f is its top coefficient.  At a finite place pi the
+leading digit of f is the first nonzero remainder of the division chain that
+finds v(f), so no power of pi is formed.  The minimal model is A/pi^(4s),
+B/pi^(6s), Delta/pi^(12s), and each residue read, f/pi^e mod pi for a
+minimal coefficient f, is 0 when v(f) > e and otherwise the leading digit of
+A, B or Delta.  Every residue is a raw value of K = residue_field(x)
+(F_q[t]/(pi), or F_q at infinity), with quadratic character chi_K, taken
+once where the division chain finds it.  Tamagawa numbers and split types
+are then closed forms:
 
 - I_n, n >= 1: split iff 6B is a square in K.  The node is at the double
   root x0 = -3B/(2A), the tangent slopes there are +-sqrt(3 x0), and
@@ -22,19 +26,15 @@ chi_K.  Tamagawa numbers and split types are then closed forms:
 - I0*: 1 + the roots of T^3 + (A/pi^2) T + (B/pi^3) in K.  IV and IV*:
   3 if B/pi^2, resp. B/pi^4, is a square in K, else 1.
 
-At infinity (uniformizer u = 1/t, residue field F_q) the same algorithm
-reads u^w f(1/u) for (f, w) = (A, 4k), (B, 6k), (Delta, 12k), with
-k = max(1, ceil(deg A / 4), ceil(deg B / 6)): its valuation is w - deg f and
-its leading digit the top coefficient of f, so no division is needed.
-
 A quadratic twist by d has A d^2, B d^3 and Delta d^6.  With (e, u) the
-valuation and leading digit of d at pi, its (v, r) pairs are its base's
-shifted and scaled, (v + k e, r u^k mod pi) for k = 2, 3, 6, and (INF, 0)
-stays (INF, 0).  So a twist walks only d's division chain and takes a few
-products mod pi; the base's pairs are memoised on the base, keyed by pi.  For
-a family member, the base model twisted by t - h(w), the base's pairs at the
-twist place (e = 1, u = 1) take one division each, and those at the base's
-own bad places are shared by every member.
+valuation and leading digit of d at x, its (v, r) pairs are its base's
+shifted and scaled in K, (v + k e, r u^k) for k = 2, 3, 6, and (INF, 0)
+stays (INF, 0); at infinity e = -deg d and u is d's top coefficient.  So a
+twist walks only d's division chain and takes a few products in K; the
+base's pairs are memoised on the base, keyed by the place.  For a family
+member, the base model twisted by t - h(w), the base's pairs at the twist
+place (e = 1, u = 1) take one division each, and those at infinity and at
+the base's own bad places are shared by every member.
 """
 
 from __future__ import annotations
@@ -142,23 +142,20 @@ class LocalReductionData:
         }
 
 
-def _leading(f: Poly, pi: Poly):
-    """(v, r): the valuation of f at pi and the leading digit f/pi^v mod pi,
-    the first nonzero remainder of f's division chain; (INF, 0) for f = 0."""
+def _leading(f: Poly, x: Place):
+    """(v, r): the valuation of f at x and its leading digit, a raw value
+    of residue_field(x); (INF, zero) for f = 0.  At a finite place r is
+    f/pi^v mod pi, the first nonzero remainder of f's division chain; at
+    infinity v = -deg f (deg 0 = -inf) and r is f's top coefficient."""
+    if x.is_infinite:
+        return -f.degree, f.coeffs[-1] if f else 0
     v = 0
     while f:
-        f, r = divmod(f, pi)
+        f, r = divmod(f, x.pi)
         if r:
-            return v, r
+            return v, reduce_at(r, x)
         v += 1
-    return INF, f
-
-
-def _leading_at_infinity(f: Poly, w: int):
-    """(v, r) of u^w f(1/u) at u = 0, u = 1/t; (INF, 0) for f = 0."""
-    if not f:
-        return INF, f
-    return w - f.degree, Poly._raw(f.field, f.coeffs[-1:])
+    return INF, reduce_at(f, x)
 
 
 def _classify(a, b, d) -> KodairaSymbol:
@@ -221,39 +218,40 @@ def _cubic_roots(K, a, b) -> int:
     return 3 if (u0, u1, u2) == (zero, one, zero) else 0
 
 
-def _tate(x: Place, pi: Poly, lead_A, lead_B, lead_delta):
+def _tate(x: Place, lead_A, lead_B, lead_delta):
     """Tate's algorithm at x on y^2 = x^3 + Ax + B from the (valuation,
-    leading digit) pairs of A, B and Delta.  pi is x.pi, or t at infinity,
-    where the digits are constants: K = F_q = F_q[t]/(t)."""
+    leading digit) pairs of A, B and Delta, digits raw values of
+    K = residue_field(x)."""
     (vA, rA), (vB, rB), (vd, rd) = lead_A, lead_B, lead_delta
     # A or B = 0 (j = 0 or 1728) bounds nothing; inf // 4 would be nan
     s = min(v // w for v, w in ((vA, 4), (vB, 6), (vd, 12)) if v != INF)
     a, b, d = vA - 4 * s, vB - 6 * s, vd - 12 * s
     sym = _classify(a, b, d)
     row = table_row(sym)
-    zero = Poly(pi.field, [])
     K = residue_field(x)
 
     def digit(r, v, e):
         """f/pi^e mod pi for minimal f, v(f) = v >= e, leading digit r."""
-        return r if v == e else zero
-
-    def chi(f):
-        """chi_K of the residue of the polynomial f."""
-        return K.legendre_raw(reduce_at(f, x))
+        return r if v == e else K.zero_raw
 
     if sym.base == "I" and not sym.star and sym.n == 0:
         A0, B0 = digit(rA, a, 0), digit(rB, b, 0)
+        # place_trace reads the residues as polynomials of degree < deg x at
+        # a root of pi; at infinity K = F_q = F_q[t]/(t)
+        F = x.field
+        pi = Poly.t(F) if x.is_infinite else x.pi
+        lifts = [Poly(F, r if x.degree > 1 else [r]) for r in (A0, B0)]
         return LocalReductionData(
             x, sym, **row, c=1, reduction_type="good",
-            a_x=place_trace(pi, A0, B0), v_min_delta=d,
-            minimal_fiber=(K.zero_raw, reduce_at(A0, x), reduce_at(B0, x)))
+            a_x=place_trace(pi, *lifts), v_min_delta=d,
+            minimal_fiber=(K.zero_raw, A0, B0))
 
     # beyond I0 and I0* the symbol fixes v(B): 0 at I_n, 3 at I_n*, 2 at IV
     # and 4 at IV*, so rB (and rd, Delta's own) is the digit read
+    chi, mul = K.legendre_raw, K.mul
     if sym.base == "I" and not sym.star:  # multiplicative I_n, n >= 1
         n = sym.n
-        if chi(6 * rB) == 1:
+        if chi(mul(K.coerce(6), rB)) == 1:
             c, rtype, a_x = n, "split_mult", 1
         else:
             c, rtype, a_x = (2 if n % 2 == 0 else 1), "nonsplit_mult", -1
@@ -262,10 +260,9 @@ def _tate(x: Place, pi: Poly, lead_A, lead_B, lead_delta):
 
     # additive types
     if sym.base == "I" and sym.star and sym.n == 0:
-        c = 1 + _cubic_roots(K, reduce_at(digit(rA, a, 2), x),
-                             reduce_at(digit(rB, b, 3), x))
+        c = 1 + _cubic_roots(K, digit(rA, a, 2), digit(rB, b, 3))
     elif sym.base == "I" and sym.star:
-        c = 3 + chi(rd * (-6 * rB) if sym.n % 2 else rd)
+        c = 3 + chi(mul(rd, mul(K.coerce(-6), rB)) if sym.n % 2 else rd)
     elif sym.base == "II":
         c = 1
     elif sym.base == "III":
@@ -280,37 +277,21 @@ def _tate(x: Place, pi: Poly, lead_A, lead_B, lead_delta):
 
 def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
     """Tate's algorithm at x (finite or infinite)."""
-    if x.is_infinite:
-        A, B = curve.short_coefficients()
-        k = max([1] + [math.ceil(f.degree / w) for f, w in ((A, 4), (B, 6))
-                       if f])
-        return _tate(x, Poly.t(curve.field),
-                     *(_leading_at_infinity(f, w * k)
-                       for f, w in ((A, 4), (B, 6), (curve.delta, 12))))
-    return _tate(x, x.pi, *_digits(curve, x.pi))
+    return _tate(x, *_digits(curve, x))
 
 
-def _digits(curve: WeierstrassCurve, pi: Poly):
-    """The (v, r) pairs of A, B and Delta at pi.  A twist by d, with
-    (e, u) = _leading(d, pi), scales its base's pairs, memoised on the base,
-    to (v + k e, r u^k mod pi) for k = 2, 3, 6."""
+def _digits(curve: WeierstrassCurve, x: Place):
+    """The (v, r) pairs of A, B and Delta at x.  A twist by d, with
+    (e, u) = _leading(d, x), scales its base's pairs, memoised on the base,
+    to (v + k e, r u^k) in residue_field(x) for k = 2, 3, 6."""
     if curve.twist_of is None:
-        A, B = curve.short_coefficients()
-        return [_leading(f, pi) for f in (A, B, curve.delta)]
+        return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)]
     base, d = curve.twist_of
-    pairs = base.memoised(("digits", pi.coeffs), lambda: _digits(base, pi))
-    e, u = _leading(d, pi)
-
-    def times(f, g):
-        """f g mod pi, f and g residues."""
-        h = f * g
-        return h % pi if h.degree >= pi.degree else h
-
-    u2 = times(u, u)
-    u3 = times(u2, u)
-    scales = ((2, u2), (3, u3), (6, times(u3, u3)))
-    return [(v + k * e, times(r, uk)) if v != INF else (v, r)
-            for (v, r), (k, uk) in zip(pairs, scales)]
+    pairs = base.memoised(("digits", x), lambda: _digits(base, x))
+    e, u = _leading(d, x)
+    K = residue_field(x)
+    return [(v + k * e, K.mul(r, K.pow(u, k))) if v != INF else (v, r)
+            for (v, r), k in zip(pairs, (2, 3, 6))]
 
 
 def tamagawa(curve: WeierstrassCurve, x: Place) -> int:

@@ -201,6 +201,16 @@ class TestVerifyFamily:
         assert option in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("ell", ["9", "3", "-5"])
+    def test_bad_ell_exits_2(self, runner, ell):
+        # skipping it would pass the grid with that ell unchecked
+        res = runner.invoke(main, ["verify-family", "intro_N5", "--primes",
+                                   "5", "--ell", f"5,{ell}", "--max-w", "1",
+                                   "--jobs", "1"])
+        assert res.exit_code == 2
+        assert f"ell={ell} is not a prime >= 5" in res.stderr
+        assert res.stdout == ""
+
     def test_deterministic_json(self, runner):
         args = ["verify-family", "even_4mod8", "--n", "1", "--primes", "11",
                 "--max-w", "2", "--jobs", "1"]
@@ -233,6 +243,14 @@ class TestLemma92:
     def test_bad_ell_exits_2(self, runner):
         res = runner.invoke(main, ["lemma92", "--ell", "4"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("ell_max", ["3", "-1"])
+    def test_ell_max_below_5_exits_2(self, runner, ell_max):
+        # an empty sweep would certify nothing and exit 0
+        res = runner.invoke(main, ["lemma92", "--ell-max", ell_max])
+        assert res.exit_code == 2
+        assert "--ell-max" in res.stderr
+        assert res.stdout == ""
 
     def test_ell_beyond_int64_exits_2(self, runner):
         # a prime above 2^32: int64 matrix powers mod ell would overflow

@@ -419,13 +419,14 @@ class TestClosedFormsAgainstReference:
 
 def check_inherited(E):
     """A twist's factored Delta, digits and isotriviality, read off its
-    base, against a fresh computation on its own A, B and Delta; returns
-    the factorization."""
+    base, against a fresh computation on its own A, B and Delta, at its bad
+    places and at infinity; returns the factorization."""
     facs = delta_factors(E)
     assert facs == factor(E.delta)[1], E
-    for pi, _ in facs:
-        fresh = [_leading(f, pi) for f in (E.A, E.B, E.delta)]
-        assert _digits(E, pi) == fresh, (E, pi)
+    F = E.field
+    for x in [Place.finite(F, pi) for pi, _ in facs] + [Place.infinity(F)]:
+        fresh = [_leading(f, x) for f in (E.A, E.B, E.delta)]
+        assert _digits(E, x) == fresh, (E, x)
     q, r = divmod(E.A ** 3, E.delta)
     assert E.is_isotrivial() == (not r and q.degree <= 0), E
     return facs
@@ -481,7 +482,7 @@ class TestTwistInheritance:
                 assert got.minimal_fiber == ref.minimal_fiber, (Et, x)
         # e > 0 at a base place: v(Delta) at t - 1 is 9 + 6
         x = Place.rational(F, 1)
-        assert _digits(E.twist_by(d2), x.pi)[2][0] == 15
+        assert _digits(E.twist_by(d2), x)[2][0] == 15
 
     def test_only_bases_of_twists_memoise(self):
         F = PrimeField(7)
@@ -521,3 +522,62 @@ def test_grid_local_data_digest():
                 places += len(data)
     assert (cells, places) == (307, 2088)
     assert h.hexdigest() == GRID_LOCAL_DATA_SHA256
+
+
+def seeded_short_models(p, count):
+    """count seeded short models over F_p, each followed by one twist.
+    Half are perturbed nodes y^2 = (x - u)^2 (x + 2u) + ..., which put
+    I_n and, after the twist, I_n* at infinity too."""
+    F = PrimeField(p)
+    rng = random.Random(2000 + p)
+    out = []
+    while len(out) < 2 * count:
+        h = random_place(F, rng, 1).pi
+        A = h ** rng.randrange(5) * random_poly(F, rng, rng.randrange(-1, 4))
+        B = h ** rng.randrange(7) * random_poly(F, rng, rng.randrange(-1, 4))
+        if rng.randrange(2):
+            u = random_poly(F, rng, rng.randrange(3))
+            A, B = -3 * u * u + A, 2 * u ** 3 + B
+        d = random_poly(F, rng, rng.randrange(3))
+        try:
+            E = WeierstrassCurve(Poly(F, []), A, B)
+        except ValueError:          # zero discriminant
+            continue
+        if d:
+            out += [E, E.twist_by(d)]
+    return out
+
+
+def off_grid_local_data():
+    """(places, sha256) over seeded_short_models(p, 30), p = 5, 7, 11, 13,
+    of json.dumps([[d.to_json(), d.minimal_fiber] for each place],
+    sort_keys=True) per model; its places are its bad places, infinity and
+    two seeded places of degree <= 2."""
+    h = hashlib.sha256()
+    places = 0
+    for p in (5, 7, 11, 13):
+        F = PrimeField(p)
+        rng = random.Random(3000 + p)
+        for E in seeded_short_models(p, 30):
+            xs = [Place.finite(F, pi) for pi, _ in factor(E.delta)[1]]
+            xs.append(Place.infinity(F))
+            xs += [random_place(F, rng, rng.randrange(1, 3)) for _ in range(2)]
+            rows = [[d.to_json(), d.minimal_fiber]
+                    for d in (local_reduce(E, x) for x in xs)]
+            h.update(json.dumps(rows, sort_keys=True).encode())
+            places += len(rows)
+    return places, h.hexdigest()
+
+
+# off_grid_local_data(), computed at commit ec2d766, before Tate's algorithm
+# read residue-field values and treated infinity as an ordinary place
+OFF_GRID_LOCAL_DATA = (
+    1532, "88673d545d2cfff5a98d94300f03cc3ccf1ef4e6ec54b63ca72c8c6cff36bf60")
+
+
+def test_off_grid_local_data_digest():
+    """Local data and minimal fibers off the family grid: every Kodaira
+    type at finite places and at infinity, good places of degree 1 and 2
+    through place_trace, and twists by non-monic d, which no family member
+    is."""
+    assert off_grid_local_data() == OFF_GRID_LOCAL_DATA
