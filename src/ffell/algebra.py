@@ -448,28 +448,11 @@ class Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: f irreducible over F_p."""
-    p = f.field.p
+    """f irreducible over F_p: its distinct-degree factorization finds no
+    irreducible factor of degree below deg f.  Linear f, most places, skip
+    the factorization."""
     d = f.degree
-    if d == float("-inf") or d == 0:
-        return False
-    if d == 1:
-        return True
-    m = list(f.monic().coeffs)
-    t = [0, 1]
-    # x^(p^d) == x mod f
-    h = t
-    for _ in range(d):
-        h = _poly_powmod(p, h, p, m)
-    if _poly_sub(p, h, t):
-        return False
-    for r in set(_prime_factors(d)):
-        h = t
-        for _ in range(d // r):
-            h = _poly_powmod(p, h, p, m)
-        if _poly_gcd(p, _poly_sub(p, h, t), m) != [1]:
-            return False
-    return True
+    return d == 1 or d > 1 and next(_distinct_degree(f.monic()))[1] == d
 
 
 def _prime_factors(n: int):
@@ -522,7 +505,11 @@ def _squarefree_decomposition(f: Poly):
 
 
 def _distinct_degree(f: Poly):
-    """f monic squarefree -> yield (product of its irreducibles of degree d, d)."""
+    """f monic squarefree -> yield (product of its irreducibles of degree d, d).
+
+    The first pair needs no squarefree f: its d is the least degree of an
+    irreducible factor of f, and it is deg f exactly when f is irreducible.
+    """
     F = f.field
     p = F.p
     t = [0, 1]
@@ -568,17 +555,18 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random):
     return out
 
 
-def factor(f: Poly, seed: int = 0):
+def factor(f: Poly):
     """Factor a nonzero polynomial.
 
     Returns (leading coefficient, list of (monic irreducible, multiplicity))
-    sorted for determinism.  Randomness in the equal-degree step is seeded.
+    sorted for determinism.  Randomness in the equal-degree step is seeded
+    by f.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     lead = f.lead()
     out = []
-    rng = random.Random(hash((seed, f.field.p, f.coeffs)))
+    rng = random.Random(hash((f.field.p, f.coeffs)))
     for g, mult in _squarefree_decomposition(f):
         for h, d in _distinct_degree(g.monic()):
             for irr in _equal_degree_split(h.monic(), d, rng):

@@ -208,14 +208,6 @@ class Family:
             return False            # beta identically zero mod p
         return not E.is_isotrivial()
 
-    def h_mod_p(self, p: int, n: int, w: int) -> int:
-        F = PrimeField(p)
-        num, den = self.h_pair(n)
-        d = _fp_poly(F, den)(w)
-        if not d:
-            raise ValueError(f"{self.fid}: beta({w}) = 0 mod {p}")
-        return _fp_poly(F, num)(w) * pow(d, p - 2, p) % p
-
     def h_on_W(self, p: int, n: int) -> dict:
         """h(w) mod p for every w in W(F_p), keyed by w in ascending order."""
         return self._memoised(("W", p, n), lambda: self._h_on_W(p, n))
@@ -702,7 +694,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
             checks[name] = False
             notes.append(f"no bad place at t={loc}")
             continue
-        ok = str(d.kodaira) in syms
+        ok = d.kodaira in syms
         if c_set is not None:
             ok = ok and d.c in c_set
         checks[name] = ok
@@ -714,7 +706,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
         star_ok = True
         for key in {hw} | set(fam.f_roots_mod(p, n)):
             d = by_loc.get(key)
-            if not (d is not None and str(d.kodaira) == "I0*"
+            if not (d is not None and d.kodaira == "I0*"
                     and d.c in prof["c_I0star"]):
                 star_ok = False
                 notes.append(f"expected I0* at t={key}")
@@ -739,7 +731,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
         notes.append("waived: I0* at >1 affine point; 6B <= N")
     else:
         checks["hyp_two_I0star"] = sum(
-            1 for d in finite if str(d.kodaira) == "I0*") > 1
+            1 for d in finite if d.kodaira == "I0*") > 1
         checks["hyp_6B_le_N"] = 6 * inv.B <= inv.N
 
     # closed-form root-number law
@@ -838,15 +830,3 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
                                     for c in mine):
             rep.unattained.append([p, "no w with root number 1"])
     return rep
-
-
-def epsilon_law_check(fam, p: int, n: int, w: int):
-    """Evaluate the family's closed-form root-number law at one grid cell.
-
-    Returns True/False, or None when the family states no law."""
-    if isinstance(fam, str):
-        fam = FAMILIES[fam]
-    if fam.eps is None:
-        return None
-    _, _, checks, _ = analyze_cell(fam, p, n, w, ells=())
-    return checks["epsilon_law"]

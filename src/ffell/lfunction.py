@@ -100,9 +100,8 @@ def global_invariants(curve) -> GlobalInvariants:
     assert e_total % 12 == 0, "sum of e_x deg x must be divisible by 12"
     chi = e_total // 12
     for d in data:
-        if str(d.kodaira) != "I0":
-            key = str(d.kodaira)
-            kod[key] = kod.get(key, 0) + d.place.degree
+        if d.kodaira != "I0":
+            kod[d.kodaira] = kod.get(d.kodaira, 0) + d.place.degree
     script_L = 1
     for r in sorted(lam_primes):
         script_L *= r
@@ -208,14 +207,12 @@ def lfunction(curve, invariants: GlobalInvariants | None = None,
     return LFunctionPoly(tuple(coeffs), q, eps, m)
 
 
-def check_functional_equation(L: LFunctionPoly, q: int | None = None,
-                              epsilon: int | None = None):
+def check_functional_equation(L: LFunctionPoly):
     """Verify a_{N-i} = epsilon q^{N-2i} a_i for all i.
 
     Returns (True, None) on pass, else (False, first mismatching index).
     """
-    q = L.q if q is None else q
-    eps = L.epsilon if epsilon is None else epsilon
+    q, eps = L.q, L.epsilon
     N = L.degree
     a = L.coefficients
     if N == 0:

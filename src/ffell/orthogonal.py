@@ -248,11 +248,10 @@ def order_excludes(A: np.ndarray, exponents, ell: int) -> dict:
     return {"pass": not failures, "failures": failures}
 
 
-def random_orthogonal(space: OrthogonalSpace, rng: random.Random,
-                      max_reflections: int | None = None) -> OrthMatrix:
+def random_orthogonal(space: OrthogonalSpace, rng: random.Random) -> OrthMatrix:
     """Random product of reflections (for property tests)."""
     n = space.dim
-    k = rng.randrange(0, max_reflections or 2 * n + 1)
+    k = rng.randrange(0, 2 * n + 1)
     out = identity(space)
     made = 0
     while made < k:

@@ -3,6 +3,10 @@
 residue characteristic is >= 5), table invariants, Tamagawa number,
 split/non-split discrimination, a_x and the local root-number factor.
 
+A Kodaira symbol is a plain string ("I0", "I5", "I0*", "I3*", "II", "III",
+"IV", "IV*", "III*", "II*"), the form the family grammar, the verifier and
+the JSON output read.  `_classify` returns it together with its table row.
+
 The algorithm reads only the short model y^2 = x^3 + Ax + B, with
 A = -c4/48 and B = -c6/864, and Delta; v(A) = v(c4) and v(B) = v(c6).
 Infinity is an ordinary place with uniformizer pi = 1/t: there v(f) = -deg f
@@ -50,64 +54,10 @@ from .places import Place, reduce_at, residue_field
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class KodairaSymbol:
-    """One of I_n, I_n*, II, III, IV, IV*, III*, II*."""
-
-    base: str  # "I", "II", "III" or "IV"
-    n: int = 0  # only meaningful for base "I"
-    star: bool = False
-
-    def __post_init__(self):
-        if self.base not in ("I", "II", "III", "IV"):
-            raise ValueError(f"bad Kodaira base {self.base!r}")
-        if self.base != "I" and self.n:
-            raise ValueError("only I_n carries an index")
-        if self.n < 0:
-            raise ValueError("negative index")
-
-    def __str__(self):
-        s = "*" if self.star else ""
-        if self.base == "I":
-            return f"I{self.n}{s}"
-        return f"{self.base}{s}"
-
-    @classmethod
-    def parse(cls, s: str) -> "KodairaSymbol":
-        s = s.strip()
-        star = s.endswith("*")
-        if star:
-            s = s[:-1]
-        if s.startswith("I") and not s.startswith(("II", "III", "IV")):
-            return cls("I", int(s[1:]), star)
-        return cls(s, 0, star)
-
-
-def table_row(sym: KodairaSymbol) -> dict:
-    """The (f, e, gamma, lambda, r, b) invariants attached to a symbol."""
-    if sym.base == "I" and not sym.star:
-        n = sym.n
-        if n == 0:
-            return dict(f=0, e=0, gamma=1, lam=1, r=1, b=0)
-        return dict(f=1, e=n, gamma=n // math.gcd(2, n), lam=n, r=1, b=0)
-    if sym.base == "I" and sym.star:
-        n = sym.n
-        if n == 0:
-            return dict(f=2, e=6, gamma=1, lam=1, r=1, b=0)
-        return dict(f=2, e=6 + n, gamma=2 // math.gcd(2, n), lam=n, r=1, b=1)
-    plain = {"II": dict(f=2, e=2, gamma=1, lam=1, r=1, b=1),
-             "III": dict(f=2, e=3, gamma=1, lam=1, r=2, b=1),
-             "IV": dict(f=2, e=4, gamma=3, lam=1, r=3, b=1)}
-    starred = {"II": dict(f=2, e=10, gamma=1, lam=1, r=1, b=1),
-               "III": dict(f=2, e=9, gamma=1, lam=1, r=2, b=1),
-               "IV": dict(f=2, e=8, gamma=3, lam=1, r=3, b=1)}
-    return (starred if sym.star else plain)[sym.base]
-
-
 @dataclass
 class LocalReductionData:
     place: Place
-    kodaira: KodairaSymbol
+    kodaira: str  # "I0", "I5", "I0*", "I3*", "II", ..., "II*"
     f: int
     e: int
     gamma: int
@@ -132,7 +82,7 @@ class LocalReductionData:
         return {
             "place": place,
             "degree": self.degree,
-            "kodaira": str(self.kodaira),
+            "kodaira": self.kodaira,
             "f": self.f, "e": self.e, "gamma": self.gamma,
             "lambda": self.lam, "r": self.r, "b": self.b,
             "c": self.c,
@@ -158,35 +108,40 @@ def _leading(f: Poly, x: Place):
     return INF, reduce_at(f, x)
 
 
-def _classify(a, b, d) -> KodairaSymbol:
-    """Kodaira symbol from minimal (v(c4), v(c6), v(Delta))."""
+def _classify(a, b, d):
+    """(symbol, row) from the minimal (v(c4), v(c6), v(Delta)): the Kodaira
+    symbol and its (f, e, gamma, lambda, r, b) invariants (Silverman,
+    Advanced Topics, IV.9, Table 4.1)."""
     if d == 0:
-        return KodairaSymbol("I", 0)
+        return "I0", dict(f=0, e=0, gamma=1, lam=1, r=1, b=0)
     if a == 0:
-        return KodairaSymbol("I", d)
+        return f"I{d}", dict(f=1, e=d, gamma=d // math.gcd(2, d), lam=d,
+                             r=1, b=0)
     if b == 1:
         assert d == 2, (a, b, d)
-        return KodairaSymbol("II")
+        return "II", dict(f=2, e=2, gamma=1, lam=1, r=1, b=1)
     if a == 1:
         assert d == 3 and b >= 2, (a, b, d)
-        return KodairaSymbol("III")
+        return "III", dict(f=2, e=3, gamma=1, lam=1, r=2, b=1)
     if b == 2:
         assert d == 4 and a >= 2, (a, b, d)
-        return KodairaSymbol("IV")
+        return "IV", dict(f=2, e=4, gamma=3, lam=1, r=3, b=1)
     if a == 2 and b == 3 and d >= 7:
-        return KodairaSymbol("I", d - 6, star=True)
+        n = d - 6
+        return f"I{n}*", dict(f=2, e=d, gamma=2 // math.gcd(2, n), lam=n,
+                              r=1, b=1)
     if d == 6:
         assert a >= 2 and b >= 3, (a, b, d)
-        return KodairaSymbol("I", 0, star=True)
+        return "I0*", dict(f=2, e=6, gamma=1, lam=1, r=1, b=0)
     if b == 4:
         assert d == 8 and a >= 3, (a, b, d)
-        return KodairaSymbol("IV", star=True)
+        return "IV*", dict(f=2, e=8, gamma=3, lam=1, r=3, b=1)
     if a == 3:
         assert d == 9 and b >= 5, (a, b, d)
-        return KodairaSymbol("III", star=True)
+        return "III*", dict(f=2, e=9, gamma=1, lam=1, r=2, b=1)
     if b == 5:
         assert d == 10 and a >= 4, (a, b, d)
-        return KodairaSymbol("II", star=True)
+        return "II*", dict(f=2, e=10, gamma=1, lam=1, r=1, b=1)
     raise AssertionError(f"non-minimal valuations after rescaling: {(a, b, d)}")
 
 
@@ -226,15 +181,14 @@ def _tate(x: Place, lead_A, lead_B, lead_delta):
     # A or B = 0 (j = 0 or 1728) bounds nothing; inf // 4 would be nan
     s = min(v // w for v, w in ((vA, 4), (vB, 6), (vd, 12)) if v != INF)
     a, b, d = vA - 4 * s, vB - 6 * s, vd - 12 * s
-    sym = _classify(a, b, d)
-    row = table_row(sym)
+    sym, row = _classify(a, b, d)
     K = residue_field(x)
 
     def digit(r, v, e):
         """f/pi^e mod pi for minimal f, v(f) = v >= e, leading digit r."""
         return r if v == e else K.zero_raw
 
-    if sym.base == "I" and not sym.star and sym.n == 0:
+    if sym == "I0":
         A0, B0 = digit(rA, a, 0), digit(rB, b, 0)
         # place_trace reads the residues as polynomials of degree < deg x at
         # a root of pi; at infinity K = F_q = F_q[t]/(t)
@@ -249,28 +203,23 @@ def _tate(x: Place, lead_A, lead_B, lead_delta):
     # beyond I0 and I0* the symbol fixes v(B): 0 at I_n, 3 at I_n*, 2 at IV
     # and 4 at IV*, so rB (and rd, Delta's own) is the digit read
     chi, mul = K.legendre_raw, K.mul
-    if sym.base == "I" and not sym.star:  # multiplicative I_n, n >= 1
-        n = sym.n
+    if row["f"] == 1:  # multiplicative I_n, n = d >= 1
         if chi(mul(K.coerce(6), rB)) == 1:
-            c, rtype, a_x = n, "split_mult", 1
+            c, rtype, a_x = d, "split_mult", 1
         else:
-            c, rtype, a_x = (2 if n % 2 == 0 else 1), "nonsplit_mult", -1
+            c, rtype, a_x = (2 if d % 2 == 0 else 1), "nonsplit_mult", -1
         return LocalReductionData(x, sym, **row, c=c, reduction_type=rtype,
                                   a_x=a_x, v_min_delta=d)
 
     # additive types
-    if sym.base == "I" and sym.star and sym.n == 0:
+    if sym == "I0*":
         c = 1 + _cubic_roots(K, digit(rA, a, 2), digit(rB, b, 3))
-    elif sym.base == "I" and sym.star:
-        c = 3 + chi(mul(rd, mul(K.coerce(-6), rB)) if sym.n % 2 else rd)
-    elif sym.base == "II":
-        c = 1
-    elif sym.base == "III":
-        c = 2
-    elif sym.base == "IV":
+    elif sym[1].isdigit():  # I_n*, n = d - 6 >= 1
+        c = 3 + chi(mul(rd, mul(K.coerce(-6), rB)) if d % 2 else rd)
+    elif sym in ("IV", "IV*"):
         c = 3 if chi(rB) == 1 else 1
     else:
-        raise AssertionError(sym)
+        c = {"II": 1, "III": 2, "III*": 2, "II*": 1}[sym]
     return LocalReductionData(x, sym, **row, c=c, reduction_type="additive",
                               a_x=0, v_min_delta=d)
 
@@ -292,17 +241,6 @@ def _digits(curve: WeierstrassCurve, x: Place):
     K = residue_field(x)
     return [(v + k * e, K.mul(r, K.pow(u, k))) if v != INF else (v, r)
             for (v, r), k in zip(pairs, (2, 3, 6))]
-
-
-def tamagawa(curve: WeierstrassCurve, x: Place) -> int:
-    return local_reduce(curve, x).c
-
-
-def split_type(curve: WeierstrassCurve, x: Place) -> str:
-    data = local_reduce(curve, x)
-    if data.reduction_type not in ("split_mult", "nonsplit_mult"):
-        raise ValueError(f"reduction at {x!r} is not multiplicative")
-    return "split" if data.reduction_type == "split_mult" else "nonsplit"
 
 
 def local_root_factor(data: LocalReductionData) -> int:

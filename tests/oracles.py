@@ -16,7 +16,7 @@ from ffell.curves import WeierstrassCurve
 from ffell.fastcount import place_trace
 from ffell.places import Place, reduce_at, residue_field
 from ffell.reduction import (LocalReductionData, _classify, _cubic_roots,
-                             local_reduce, table_row)
+                             local_reduce)
 
 INF = float("inf")
 
@@ -225,33 +225,32 @@ def reference_local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionD
     vd = curve.delta.valuation(pi)
     s = min(v // w for v, w in ((vc4, 4), (vc6, 6), (vd, 12)) if v != INF)
     a, b, d = vc4 - 4 * s, vc6 - 6 * s, vd - 12 * s
-    sym = _classify(a, b, d)
-    row = table_row(sym)
+    sym, row = _classify(a, b, d)
     A, B = curve.short_coefficients()
     A, B = _div(A, pi, 4 * s), _div(B, pi, 6 * s)
     K = residue_field(x)
 
-    if str(sym) == "I0":
+    if sym == "I0":
         return LocalReductionData(
             x, sym, **row, c=1, reduction_type="good",
             a_x=place_trace(pi, A, B), v_min_delta=d,
             minimal_fiber=(K.zero_raw, reduce_at(A, x), reduce_at(B, x)))
-    if sym.base == "I" and not sym.star:
+    if row["f"] == 1:                                       # I_n, n = d
         if tangent_split(K, reduce_at(A, x), reduce_at(B, x)):
-            c, rtype, a_x = sym.n, "split_mult", 1
+            c, rtype, a_x = d, "split_mult", 1
         else:
-            c, rtype, a_x = 2 - sym.n % 2, "nonsplit_mult", -1
+            c, rtype, a_x = 2 - d % 2, "nonsplit_mult", -1
         return LocalReductionData(x, sym, **row, c=c, reduction_type=rtype,
                                   a_x=a_x, v_min_delta=d)
-    if str(sym) == "I0*":
+    if sym == "I0*":
         c = 1 + _cubic_roots(K, reduce_at(_div(A, pi, 2), x),
                              reduce_at(_div(B, pi, 3), x))
-    elif sym.base == "I":
-        c = tamagawa_in_star(A, B, pi, x, sym.n)
-    elif sym.base in ("II", "III"):
-        c = 1 if sym.base == "II" else 2
-    else:                                                   # IV, IV*
-        Bbar = reduce_at(_div(B, pi, 4 if sym.star else 2), x)
+    elif sym[1].isdigit():                                  # I_n*, n = d - 6
+        c = tamagawa_in_star(A, B, pi, x, d - 6)
+    elif sym in ("IV", "IV*"):
+        Bbar = reduce_at(_div(B, pi, 4 if sym == "IV*" else 2), x)
         c = 3 if K.legendre_raw(Bbar) == 1 else 1
+    else:                                                   # II, III, III*, II*
+        c = 2 if sym.startswith("III") else 1
     return LocalReductionData(x, sym, **row, c=c, reduction_type="additive",
                               a_x=0, v_min_delta=d)

@@ -82,6 +82,22 @@ class TestFactor:
         assert len(facs) == 1 and facs[0][0].degree == 2 and facs[0][1] == 1
         assert is_irreducible(f)
 
+    def test_is_irreducible_against_trial_division(self):
+        # every monic f of degree <= 4 over F_5: irreducible iff no monic
+        # polynomial of degree 1 .. deg f / 2 divides it
+        def monic(deg):
+            for n in range(5 ** deg):
+                yield Poly(F5, [n // 5 ** i % 5 for i in range(deg)] + [1])
+
+        seen = 0
+        for deg in range(5):
+            divisors = [g for k in range(1, deg // 2 + 1) for g in monic(k)]
+            for f in monic(deg):
+                expected = deg >= 1 and all(f % g for g in divisors)
+                assert is_irreducible(f) == expected, f
+                seen += expected
+        assert seen == 5 + 10 + 40 + 150    # monic irreducibles of degree 1..4
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor(Poly(F5, []))

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from ffell.algebra import Poly, PrimeField
 from ffell.cli import main
-from ffell.families import (FAMILIES, FAMILY_DECLARATIONS, epsilon_law_check,
+from ffell.families import (FAMILIES, FAMILY_DECLARATIONS, analyze_cell,
                             load_family_file, parse_families, verify_profile)
 from ffell.lfunction import global_invariants
 
@@ -119,9 +119,9 @@ class TestGrid:
         W = fam.W_set(p, 0)
         delta = fam.base_curve(p, 0).delta
         for w in range(p):
+            # h(w) = (3 - w^2)/(3 + w^2)
             beta = (3 + w * w) % p
-            ok = bool(beta) and bool(delta(fam.h_mod_p(p, 0, w))) if beta \
-                else False
+            ok = bool(beta) and bool(delta((3 - w * w) * pow(beta, -1, p)))
             assert (w in W) == ok
 
     def test_odd5_W_empty_at_11(self):
@@ -144,7 +144,7 @@ class TestGrid:
         w = fam.W_set(p, n)[0]
         E = fam.instantiate(p, n, w)
         F = PrimeField(p)
-        tw = Poly.t(F) - fam.h_mod_p(p, n, w)
+        tw = Poly.t(F) - fam.h_on_W(p, n)[w]
         B = fam.base_curve(p, n)
         assert E.a4.coeffs == (B.a4 * tw ** 2).coeffs
         assert E.a6.coeffs == (B.a6 * tw ** 3).coeffs
@@ -222,28 +222,34 @@ class TestVerifyProfile:
         assert rep.verdict and not rep.kodaira_mismatch
 
 
+def epsilon_law(fam, p, n, w):
+    """The closed-form root-number check at one cell, or None when the family
+    states no law."""
+    return analyze_cell(fam, p, n, w)[2].get("epsilon_law")
+
+
 class TestEpsilonLaws:
     def test_intro_dichotomy(self):
         fam = FAMILIES["intro_N5"]
         for p in (5, 7, 11):
             for w in fam.W_set(p, 0)[:3]:
-                assert epsilon_law_check(fam, p, 0, w) is True
+                assert epsilon_law(fam, p, 0, w) is True
 
     def test_case1_closed_form(self):
         fam = FAMILIES["case1_2ns"]
         for p in (7, 11):
             for w in fam.W_set(p, 2):
-                assert epsilon_law_check(fam, p, 2, w) is True
+                assert epsilon_law(fam, p, 2, w) is True
 
     def test_even6_legendre_law(self):
         fam = FAMILIES["even_6mod8"]
         for w in fam.W_set(13, 0)[:4]:
-            assert epsilon_law_check(fam, 13, 0, w) is True
+            assert epsilon_law(fam, 13, 0, w) is True
 
     def test_no_law_returns_none(self):
         fam = FAMILIES["odd_1mod8"]
         w = fam.W_set(7, 1)[0]
-        assert epsilon_law_check(fam, 7, 1, w) is None
+        assert epsilon_law(fam, 7, 1, w) is None
 
     def test_negative_control_h_replaced_by_u(self):
         # replacing the twist map by h(u) = u destroys the square-class
@@ -252,7 +258,7 @@ class TestEpsilonLaws:
         h0 = "[0, 0, 4] / [1, 0, 2, 0, 1]"
         fam = variant("even_0mod8", f"h = {h0};  f = h(i+1)",
                       f"h = [0, 1] / [1];  g = {h0};  f = g(i+1)")
-        results = [epsilon_law_check(fam, 19, 1, w)
+        results = [epsilon_law(fam, 19, 1, w)
                    for w in fam.W_set(19, 1)[:8]]
         assert False in results
 
@@ -265,7 +271,7 @@ class TestEpsilonLaws:
         w = fam.W_set(19, 2)[0]
         E = fam.instantiate(19, 2, w)
         assert global_invariants(E).epsilon == -1
-        assert epsilon_law_check(FAMILIES["case4_7ns"], 19, 2,
+        assert epsilon_law(FAMILIES["case4_7ns"], 19, 2,
                                  FAMILIES["case4_7ns"].W_set(19, 2)[0])
 
 
