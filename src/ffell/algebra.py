@@ -560,11 +560,13 @@ def factor(f: Poly):
 
     Returns (leading coefficient, list of (monic irreducible, multiplicity))
     sorted for determinism.  Randomness in the equal-degree step is seeded
-    by f.
+    by f.  A polynomial of degree <= 1 is its own factorization.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     lead = f.lead()
+    if f.degree <= 1:
+        return lead, [(f.monic(), 1)] if f.degree == 1 else []
     out = []
     rng = random.Random(hash((f.field.p, f.coeffs)))
     for g, mult in _squarefree_decomposition(f):

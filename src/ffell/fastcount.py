@@ -15,7 +15,10 @@ with n = q - 1 the element g^k has log k in [0, n), and zero has the sentinel
 log ZERO = 3n.  Multiplication adds logs; addition is one gather from the Zech
 table, log(g^i + g^j) = i + zech[j - i] with zech[k] = log(1 + g^k)
 (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36,
-1990).  The sentinel hits at k = n/2, where g^k = -1.
+1990).  The sentinel hits at k = n/2, where g^k = -1.  Polynomials over F_p
+are evaluated by Horner's rule on logs without reducing after each step: a
+nonzero log stays below 2n and a zero one at 3n or above, so a product of
+two nonzero values is exactly a sum of logs below 3n (see eval_poly).
 
 The character sums S(A, B) = sum_u chi(u^3 + A u + B) come from one table per
 field, built at first use.  Substituting u = lam v gives
@@ -146,18 +149,36 @@ class FieldTables:
                         self.exp[self.log * k % self.n])
 
     def eval_poly(self, poly, codes: np.ndarray) -> np.ndarray:
-        """Evaluate a Poly over F_p at every code of the array: one Horner
-        pass on logs (a coefficient c in F_p has code c)."""
-        lx = self.log[codes]
-        acc = np.full(lx.shape, self.ZERO)
-        for cf in reversed(poly.coeffs):
-            acc = self._add_logs(self._norm(acc + lx), self.log[cf])
-        return self._codes(acc)
+        """Evaluate a Poly over F_p at every code of the array (a coefficient
+        c in F_p has code c): one Horner pass on logs, with one Zech gather
+        and one select per nonzero coefficient.
+
+        Invariant: after every step a nonzero value has a log below 2n and
+        zero has a log of at least 3n (ZERO, or ZERO + log c where the Zech
+        gather hits its sentinel).  So acc + log x < 3n exactly when both
+        factors are nonzero, and the product needs no reduction before the
+        next step; the c = 0 step reduces it mod n."""
+        n, zero, log, zech = self.n, self.ZERO, self.log, self.zech
+        lx = log[codes]
+        *rest, lead = poly.coeffs or (0,)
+        acc = np.full(lx.shape, log[lead])
+        for c in reversed(rest):
+            t = acc + lx
+            if c:
+                lc = log[c]
+                acc = np.where(t >= zero, lc, zech[(t - lc) % n] + lc)
+            else:
+                acc = np.where(t >= zero, zero, t % n)
+        return np.where(acc >= zero, 0, self.exp[acc % n])
 
     def degree_d_representatives(self) -> np.ndarray:
-        """Minimal codes of the Frobenius orbits of exact size d, ascending:
-        the codes below all their conjugates and fixed by no F^k, k | d,
-        k < d."""
+        """Minimal codes of the Frobenius orbits of exact size d, ascending
+        and read-only: the codes below all their conjugates and fixed by no
+        F^k, k | d, k < d.  Built at first use."""
+        return self._representatives
+
+    @cached_property
+    def _representatives(self) -> np.ndarray:
         codes = np.arange(self.q)
         conj, least = codes, codes.copy()
         exact = np.ones(self.q, dtype=bool)
@@ -166,7 +187,9 @@ class FieldTables:
             np.minimum(least, conj, out=least)
             if self.d % k == 0:
                 exact &= conj != codes
-        return np.flatnonzero(exact & (least == codes))
+        reps = np.flatnonzero(exact & (least == codes))
+        reps.flags.writeable = False
+        return reps
 
     @cached_property
     def cubic_table(self) -> np.ndarray:

@@ -98,6 +98,15 @@ class TestFactor:
                 seen += expected
         assert seen == 5 + 10 + 40 + 150    # monic irreducibles of degree 1..4
 
+    def test_degree_at_most_one(self):
+        # a nonzero constant has no factors; a linear f is its own monic
+        # factor, once
+        for c in range(1, 7):
+            assert factor(Poly(F7, [c])) == (c, [])
+            for a in range(7):
+                f = Poly(F7, [a, c])
+                assert factor(f) == (c, [(f.monic(), 1)])
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor(Poly(F5, []))

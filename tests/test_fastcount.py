@@ -18,6 +18,19 @@ def intro_Em(p, m):
     return WeierstrassCurve(Poly(F, []), 3 * u ** 3, -2 * u ** 5).twist_by(t - m)
 
 
+def minimal_polynomial(T, code):
+    """The minimal polynomial over F_p of the element with this code, for
+    d <= 2."""
+    F, K = PrimeField(T.p), T.field
+    if code < T.p:
+        return Poly(F, [-code, 1])
+    beta = K.decode(code)
+    conj = K.pow(beta, T.p)
+    s, pr = K.add(beta, conj), K.mul(beta, conj)
+    assert s[1] == 0 and pr[1] == 0
+    return Poly(F, [pr[0], -s[0], 1])
+
+
 class TestFieldTables:
     @pytest.mark.parametrize("p,d", [(5, 1), (5, 2), (7, 2), (11, 2), (5, 3)])
     def test_log_exp_roundtrip(self, p, d):
@@ -52,7 +65,11 @@ class TestFieldTables:
     def test_representative_count_matches_place_count(self):
         for p, d in [(5, 1), (5, 2), (5, 3), (7, 2), (11, 2)]:
             T = field_tables(p, d)
-            assert len(T.degree_d_representatives()) == count_places(p, d)
+            reps = T.degree_d_representatives()
+            assert len(reps) == count_places(p, d)
+            # built once per field and shared, so read-only
+            assert reps is T.degree_d_representatives()
+            assert not reps.flags.writeable
 
 
 class TestBatchTraces:
@@ -72,14 +89,9 @@ class TestBatchTraces:
         F = E.field
         T = field_tables(p, 2)
         reps, traces = batch_traces(E, 2)
-        K = T.field
         by_place = {}
         for c, a in zip(reps, traces):
-            beta = K.decode(int(c))
-            conj = K.pow(beta, p)
-            s, pr = K.add(beta, conj), K.mul(beta, conj)
-            assert s[1] == 0 and pr[1] == 0
-            pi = Poly(F, [pr[0], -s[0], 1])
+            pi = minimal_polynomial(T, int(c))
             by_place[pi.coeffs] = (pi, a)
         assert len(by_place) == len(reps)
         for pi, a in by_place.values():
@@ -177,6 +189,53 @@ class TestKernelAgainstScalarOracle:
             A2, A4, A6 = (horner(K, f, beta) for f in (E.a2, E.a4, E.a6))
             assert traces[i] == K.order + 1 - count_points_cubic(K, A2, A4,
                                                                 A6)
+
+
+# F_5, F_7, F_11, F_13, F_25 and F_49
+EVAL_FIELDS = [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)]
+
+
+class TestEvalPolyAgainstHorner:
+    """The log-domain Horner pass against scalar Horner on raw field values,
+    at every code (beta = 0 included) in a drawn order."""
+
+    @pytest.mark.parametrize("kind", ["general", "zero", "constant",
+                                      "vanishing prefix"])
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(EVAL_FIELDS), st.data())
+    def test_matches_scalar_horner(self, kind, field, data):
+        p, d = field
+        F = PrimeField(p)
+        T = field_tables(p, d)
+        K = T.field
+        # zero coefficients are drawn often, so runs of them occur
+        coeff = st.one_of(st.just(0), st.integers(0, p - 1))
+
+        def poly(max_deg):
+            return Poly(F, data.draw(st.lists(coeff, max_size=max_deg + 1)))
+
+        if kind == "zero":
+            f = Poly(F, [])
+        elif kind == "constant":
+            f = Poly(F, [data.draw(st.integers(1, p - 1))])
+        elif kind == "general":
+            f = poly(12)
+        else:
+            # (m h) t^k + c with m(beta_0) = 0: the partial Horner value
+            # vanishes at beta_0 (the Zech sentinel), the zero steps then
+            # carry a zero, and c = 0 makes f itself vanish there
+            m = minimal_polynomial(T, data.draw(st.integers(0, T.q - 1)))
+            h = poly(2) or Poly(F, [1])
+            k = data.draw(st.integers(0, 4))
+            c = data.draw(st.integers(0, p - 1))
+            f = m * h * Poly.t(F) ** k + c
+        codes = np.array(data.draw(st.permutations(range(T.q))),
+                         dtype=np.int64)
+        got = T.eval_poly(f, codes)
+        assert got.dtype == np.int64 and got.shape == codes.shape
+        code_of = K.encode if d > 1 else int
+        assert got.tolist() == [code_of(horner(K, f, element(K, int(c))))
+                                for c in codes]
 
 
 class TestMinimalModelCount:
