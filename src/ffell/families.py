@@ -768,11 +768,16 @@ def _condition_holds(cond: str, inv, ell: int) -> bool:
     raise ValueError(f"unknown condition {cond!r}")
 
 
-def _cell_task(args):
-    fam, n, p, w, ells = args
-    _, inv, checks, notes = analyze_cell(fam, p, n, w, ells)
-    return {"p": p, "w": w, "checks": checks, "notes": notes,
-            "invariants": inv.to_json()}
+def _prime_task(args):
+    """The cells of one prime, in w order: one task reads the base model's
+    memoised digits, factors and I0* root counts for all of them."""
+    fam, n, p, ws, ells = args
+    cells = []
+    for w in ws:
+        _, inv, checks, notes = analyze_cell(fam, p, n, w, ells)
+        cells.append({"p": p, "w": w, "checks": checks, "notes": notes,
+                      "invariants": inv.to_json()})
+    return cells
 
 
 def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
@@ -782,8 +787,9 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
     Failures are recorded in the report, never raised; a max_w below 1 or
     an ell that is not a prime >= 5 raises ValueError.  Primes that hit the
     family's excluded set or a mod-p degeneracy are listed as skipped.  With
-    jobs > 1 the cells are analyzed by a process pool and merged back in
-    grid order, so reports are identical to a serial run."""
+    jobs > 1 the primes are analyzed by a process pool, one task per prime
+    with its cells in w order, and merged back in grid order, so reports
+    are identical to a serial run."""
     if isinstance(fam, str):
         fam = FAMILIES[fam]
     if max_w is not None and max_w < 1:
@@ -794,7 +800,7 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
     rep = CriterionReport(family=fam.fid, n=n, condition=fam.condition)
     if fam.waive_hypotheses:
         rep.waivers = ["I0* at only one affine closed point", "6B > N"]
-    grid = []
+    tasks = []
     for p in primes:
         if not fam.valid_prime(p, n):
             rep.skipped_primes.append([p, "excluded or degenerate mod p"])
@@ -809,18 +815,19 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
             continue
         if max_w is not None:
             ws = ws[:max_w]
-        grid.extend((p, w) for w in ws)
+        tasks.append((fam, n, p, ws, tuple(ells)))
 
-    tasks = [(fam, n, p, w, tuple(ells)) for p, w in grid]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_cell_task, tasks))
+            per_prime = list(pool.map(_prime_task, tasks))
     else:
-        cells = [_cell_task(t) for t in tasks]
+        per_prime = [_prime_task(t) for t in tasks]
+
+    cells = [c for mine in per_prime for c in mine]
     rep.cells.extend(cells)
 
-    for p in dict.fromkeys(p for p, _ in grid):
+    for p in dict.fromkeys(c["p"] for c in cells):
         mine = [c for c in cells if c["p"] == p]
         kods = {c["w"]: tuple(sorted(c["invariants"]["kodaira"].items()))
                 for c in mine}

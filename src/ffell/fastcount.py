@@ -262,9 +262,21 @@ def batch_traces(curve, d: int):
     place at infinity) through local reduction.  As Delta = -16 (4 A^3 +
     27 B^2) and p >= 5, Delta(beta) != 0 exactly when the logs of 4 A(beta)^3
     and -27 B(beta)^2 differ, so Delta itself is never evaluated.
+
+    A twist by u has Delta u^6 and a_x = chi_x(u) a_x of its base (Silverman,
+    The Arithmetic of Elliptic Curves, X.5): it reads its base's (reps,
+    traces), memoised on the base, drops the beta with u(beta) = 0 and
+    multiplies the rest by chi(u(beta)), so only u is evaluated.
     """
     p = curve.field.p
     T = field_tables(p, d)
+    if curve.twist_of is not None:
+        base, u = curve.twist_of
+        reps, traces = base.memoised(("traces", d),
+                                     lambda: batch_traces(base, d))
+        chi = T.chi[T.eval_poly(u, reps)]
+        keep = chi != 0
+        return reps[keep], traces[keep] * chi[keep]
     reps = T.degree_d_representatives()
     A, B = curve.short_coefficients()
     a, b = T.eval_poly(A, reps), T.eval_poly(B, reps)

@@ -35,10 +35,13 @@ valuation and leading digit of d at x, its (v, r) pairs are its base's
 shifted and scaled in K, (v + k e, r u^k) for k = 2, 3, 6, and (INF, 0)
 stays (INF, 0); at infinity e = -deg d and u is d's top coefficient.  So a
 twist walks only d's division chain and takes a few products in K; the
-base's pairs are memoised on the base, keyed by the place.  For a family
-member, the base model twisted by t - h(w), the base's pairs at the twist
-place (e = 1, u = 1) take one division each, and those at infinity and at
-the base's own bad places are shared by every member.
+base's pairs are memoised on the base, keyed by the place.  Where d is a
+unit at x (e = 0) the twist's I0* cubic T^3 + A u^2 T + B u^3 is the base's
+with T = u S, so it has the same number of roots in K; that count is
+memoised on the base too.  For a family member, the base model twisted by
+t - h(w), the base's pairs at the twist place (e = 1, u = 1) take one
+division each, and those at infinity and at the base's own bad places, and
+the I0* root counts at the latter, are shared by every member.
 """
 
 from __future__ import annotations
@@ -96,9 +99,15 @@ def _leading(f: Poly, x: Place):
     """(v, r): the valuation of f at x and its leading digit, a raw value
     of residue_field(x); (INF, zero) for f = 0.  At a finite place r is
     f/pi^v mod pi, the first nonzero remainder of f's division chain; at
-    infinity v = -deg f (deg 0 = -inf) and r is f's top coefficient."""
+    a place pi = t - a that remainder is f(a), so a unit there (every twist
+    factor d = t - h(w) at every other rational place) takes no division.
+    At infinity v = -deg f (deg 0 = -inf) and r is f's top coefficient."""
     if x.is_infinite:
         return -f.degree, f.coeffs[-1] if f else 0
+    if x.degree == 1:
+        r = f(-x.pi.coeffs[0])
+        if r:
+            return 0, r
     v = 0
     while f:
         f, r = divmod(f, x.pi)
@@ -173,10 +182,11 @@ def _cubic_roots(K, a, b) -> int:
     return 3 if (u0, u1, u2) == (zero, one, zero) else 0
 
 
-def _tate(x: Place, lead_A, lead_B, lead_delta):
+def _tate(x: Place, lead_A, lead_B, lead_delta, base=None):
     """Tate's algorithm at x on y^2 = x^3 + Ax + B from the (valuation,
     leading digit) pairs of A, B and Delta, digits raw values of
-    K = residue_field(x)."""
+    K = residue_field(x).  base, for a twist by a unit at x, is the curve
+    whose I0* root count at x it shares, memoised there."""
     (vA, rA), (vB, rB), (vd, rd) = lead_A, lead_B, lead_delta
     # A or B = 0 (j = 0 or 1728) bounds nothing; inf // 4 would be nan
     s = min(v // w for v, w in ((vA, 4), (vB, 6), (vd, 12)) if v != INF)
@@ -213,7 +223,10 @@ def _tate(x: Place, lead_A, lead_B, lead_delta):
 
     # additive types
     if sym == "I0*":
-        c = 1 + _cubic_roots(K, digit(rA, a, 2), digit(rB, b, 3))
+        def roots():
+            return _cubic_roots(K, digit(rA, a, 2), digit(rB, b, 3))
+        c = 1 + (roots() if base is None
+                 else base.memoised(("I0* roots", x), roots))
     elif sym[1].isdigit():  # I_n*, n = d - 6 >= 1
         c = 3 + chi(mul(rd, mul(K.coerce(-6), rB)) if d % 2 else rd)
     elif sym in ("IV", "IV*"):
@@ -225,19 +238,30 @@ def _tate(x: Place, lead_A, lead_B, lead_delta):
 
 
 def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
-    """Tate's algorithm at x (finite or infinite)."""
-    return _tate(x, *_digits(curve, x))
+    """Tate's algorithm at x (finite or infinite).  Where a twist's d is a
+    unit at x (e = 0), its I0* cubic T^3 + A u^2 T + B u^3 has its base's
+    root count (T = u S), so the count is memoised on the base."""
+    if curve.twist_of is None:
+        return _tate(x, *_digits(curve, x))
+    base, d = curve.twist_of
+    e, u = _leading(d, x)
+    return _tate(x, *_scaled(base, x, e, u), base=base if e == 0 else None)
 
 
 def _digits(curve: WeierstrassCurve, x: Place):
-    """The (v, r) pairs of A, B and Delta at x.  A twist by d, with
-    (e, u) = _leading(d, x), scales its base's pairs, memoised on the base,
-    to (v + k e, r u^k) in residue_field(x) for k = 2, 3, 6."""
+    """The (v, r) pairs of A, B and Delta at x; a twist's are its base's,
+    scaled (see _scaled)."""
     if curve.twist_of is None:
         return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)]
     base, d = curve.twist_of
+    return _scaled(base, x, *_leading(d, x))
+
+
+def _scaled(base: WeierstrassCurve, x: Place, e, u):
+    """The pairs of the twist of base by d, (e, u) = _leading(d, x): base's
+    pairs, memoised on base, scaled to (v + k e, r u^k) in residue_field(x)
+    for k = 2, 3, 6."""
     pairs = base.memoised(("digits", x), lambda: _digits(base, x))
-    e, u = _leading(d, x)
     K = residue_field(x)
     return [(v + k * e, K.mul(r, K.pow(u, k))) if v != INF else (v, r)
             for (v, r), k in zip(pairs, (2, 3, 6))]

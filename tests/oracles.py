@@ -5,7 +5,8 @@ per-place log-domain character sum (for the vectorised kernel and the
 whole-field tables in ffell.fastcount), and Tate's I_n* subprocedure, the
 tangent-slope split test, the rebuilt model at infinity and exact division
 by powers of pi (for the closed forms and the leading pi-adic digits in
-ffell.reduction)."""
+ffell.reduction), and a twist rebuilt as a curve with no base (for
+everything a twist reads off its base)."""
 
 import math
 
@@ -19,6 +20,11 @@ from ffell.reduction import (LocalReductionData, _classify, _cubic_roots,
                              local_reduce)
 
 INF = float("inf")
+
+
+def rebuilt(E: WeierstrassCurve) -> WeierstrassCurve:
+    """E's model as a curve that records no base."""
+    return WeierstrassCurve(E.a2, E.a4, E.a6)
 
 
 def count_points_cubic(K, A2, A4, A6, method: str = "charsum") -> int:

@@ -104,6 +104,14 @@ class TestTwist:
             rebuilt = WeierstrassCurve(E.a2 * d, E.a4 * d * d, E.a6 * d ** 3)
             for name in ("a2", "a4", "a6", "A", "B", "delta", "c4", "c6"):
                 assert getattr(Et, name) == getattr(rebuilt, name), (d, name)
+        # a twist of a twist scales its base's lazily built model again
+        for d, d2 in ((t - 2, Poly(F, [3])), (t * t + t + 3, t - 2)):
+            Ett = E.twist_by(d).twist_by(d2)
+            dd = d * d2
+            rebuilt = WeierstrassCurve(E.a2 * dd, E.a4 * dd * dd,
+                                       E.a6 * dd ** 3)
+            for name in ("a2", "a4", "a6", "A", "B", "delta", "c4", "c6"):
+                assert getattr(Ett, name) == getattr(rebuilt, name), (d, name)
 
     def test_twist_by_t_minus_1(self):
         E = intro_base(5)

@@ -10,6 +10,7 @@ from ffell.cli import main
 from ffell.families import (FAMILIES, FAMILY_DECLARATIONS, analyze_cell,
                             load_family_file, parse_families, verify_profile)
 from ffell.lfunction import global_invariants
+from oracles import rebuilt
 
 ALL_IDS = {"intro_N5", "odd_1mod8", "odd_3mod8", "odd_5mod8", "odd_7mod8",
            "even_0mod8", "even_2mod8", "even_4mod8", "even_6mod8",
@@ -149,6 +150,21 @@ class TestGrid:
         assert E.a4.coeffs == (B.a4 * tw ** 2).coeffs
         assert E.a6.coeffs == (B.a6 * tw ** 3).coeffs
 
+    def test_grid_cells_build_no_twisted_model(self):
+        # a cell reads its base's digits, factors and I0* root counts, so
+        # its own lazily scaled model is never multiplied out
+        names = ("a2", "a4", "a6", "A", "B", "delta")
+        fam, n = FAMILIES["odd_1mod8"], 1
+        cells = 0
+        for p in (7, 11, 13):
+            for w in fam.W_set(p, n):
+                E = analyze_cell(fam, p, n, w)[0]
+                assert not set(names) & set(vars(E)), (p, w)
+                plain = rebuilt(E)
+                assert all(getattr(E, k) == getattr(plain, k) for k in names)
+                cells += 1
+        assert cells == 13
+
 
 class TestVerifyProfile:
     @pytest.mark.parametrize("max_w", [-1, 0])
@@ -201,6 +217,16 @@ class TestVerifyProfile:
         a = verify_profile("even_4mod8", 1, [11, 17], max_w=2, jobs=1)
         b = verify_profile("even_4mod8", 1, [11, 17], max_w=2, jobs=2)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("fid,n,primes", [("intro_N5", 0, [5, 7, 11]),
+                                              ("case2_3ns", 2, [5, 11])])
+    def test_per_prime_tasks_match_serial(self, fid, n, primes):
+        # two workers, each task one prime's cells, merged in grid order
+        serial = verify_profile(fid, n, primes, jobs=1).to_json()
+        assert verify_profile(fid, n, primes, jobs=2).to_json() == serial
+        assert [c["p"] for c in serial["cells"]] == sorted(
+            c["p"] for c in serial["cells"])
+        assert len({c["p"] for c in serial["cells"]}) == len(primes)
 
     def test_base_model_built_once_per_prime(self, monkeypatch):
         from ffell import families

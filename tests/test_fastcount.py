@@ -3,12 +3,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ffell import fastcount
-from ffell.algebra import Poly, PrimeField, is_prime
+from ffell.algebra import Poly, PrimeField, is_prime, legendre
 from ffell.curves import WeierstrassCurve
+from ffell.families import FAMILIES
 from ffell.fastcount import batch_traces, field_tables, ntt_prime
+from ffell.lfunction import global_invariants
 from ffell.places import Place, count_places
 from oracles import (count_fiber_points, count_points_cubic, horner,
-                     orbit_representatives, per_place_cubic_sum)
+                     orbit_representatives, per_place_cubic_sum, rebuilt)
+from test_acceptance import CORPUS_SPECS
 
 
 def intro_Em(p, m):
@@ -127,6 +130,44 @@ class TestBatchTraces:
         r1, t1 = batch_traces(E, 3)
         r2, t2 = batch_traces(E, 3)
         assert r1.tolist() == r2.tolist() and t1.tolist() == t2.tolist()
+
+
+def corpus_members():
+    """(E, m) for every tier-1 corpus member (N <= 9) and its top degree."""
+    out = []
+    for fid, n in CORPUS_SPECS:
+        fam = FAMILIES[fid]
+        for p in (5, 7, 11, 13):
+            if not fam.valid_prime(p, n):
+                continue
+            for w in fam.W_set(p, n):
+                E = fam.instantiate(p, n, w)
+                N = global_invariants(E).N
+                if N <= 9:
+                    out.append((E, min(N, N // 2 + 1)))
+    return out
+
+
+class TestTwistSharedTraces:
+    def test_equal_to_rebuilt_model(self):
+        # a twist by u reads its base's (reps, traces), drops the roots of
+        # u and multiplies by chi(u) (Silverman, AEC X.5); against the same
+        # model with no base, on the corpus and on a twist of each member by
+        # a nonsquare constant or by a u with roots of degree 1 and 2
+        members = corpus_members()
+        assert len(members) == 141
+        for i, (E, m) in enumerate(members):
+            F = E.field
+            t = Poly.t(F)
+            beta = next(b for b in range(2, F.p) if legendre(b, F.p) == -1)
+            u = (t - i % F.p) * (t * t - beta) if i % 2 else Poly(F, [beta])
+            for curve in (E, E.twist_by(u)):
+                plain = rebuilt(curve)
+                for d in range(1, m + 1):
+                    (reps, traces), (ref_reps, ref_traces) = (
+                        batch_traces(curve, d), batch_traces(plain, d))
+                    assert reps.tolist() == ref_reps.tolist(), (curve, d)
+                    assert traces.tolist() == ref_traces.tolist(), (curve, d)
 
 
 # every (p, d) with p in {5, 7, 11} and q = p^d <= 2500

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -10,10 +11,10 @@ from ffell.curves import WeierstrassCurve
 from ffell.families import FAMILIES
 from ffell.lfunction import delta_factors, global_invariants
 from ffell.places import Place, enumerate_places, reduce_at, residue_field
-from ffell.reduction import (_classify, _cubic_roots, _digits, _leading,
-                             local_reduce, local_root_factor)
+from ffell.reduction import (INF, _classify, _cubic_roots, _digits,
+                             _leading, local_reduce, local_root_factor)
 
-from oracles import _div, reference_local_reduce
+from oracles import _div, rebuilt, reference_local_reduce
 from test_acceptance import PROFILE_GRIDS
 
 
@@ -64,6 +65,22 @@ class TestExactDivision:
                     _div(f, pi, k)
             with pytest.raises(ValueError):
                 _div(g, pi, 1)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_leading_digit_against_division(self, p):
+        # _leading reads a unit at a rational place t - a as f(a) and walks
+        # the division chain otherwise: both against f / pi^v mod pi
+        F = PrimeField(p)
+        rng = random.Random(100 + p)
+        places = [Place.rational(F, a) for a in range(p)]
+        places += [random_place(F, rng, 2) for _ in range(3)]
+        for _ in range(30):
+            g = random_poly(F, rng, rng.randrange(-1, 4))
+            for x in places:
+                f = x.pi ** rng.randrange(3) * g
+                v = INF if not f else f.valuation(x.pi)
+                ref = reduce_at(f if v == INF else _div(f, x.pi, v), x)
+                assert _leading(f, x) == (v, ref), (f, x)
 
     def test_cancellation_before_reduction(self):
         F = PrimeField(5)
@@ -452,11 +469,6 @@ def check_inherited(E):
     return facs
 
 
-def rebuilt(E):
-    """E's model as a curve that records no base."""
-    return WeierstrassCurve(E.a2, E.a4, E.a6)
-
-
 class TestTwistInheritance:
     """Twists read their factored Delta, leading digits and isotriviality
     off their base (lfunction.delta_factors, reduction._digits)."""
@@ -503,6 +515,33 @@ class TestTwistInheritance:
         # e > 0 at a base place: v(Delta) at t - 1 is 9 + 6
         x = Place.rational(F, 1)
         assert _digits(E.twist_by(d2), x)[2][0] == 15
+
+    def test_I0star_root_counts_shared_at_units(self):
+        # where d is a unit at a base I0* place, the twist reads the base's
+        # root count there, memoised per place: bases with two such places
+        # of different c catch a memo that ignores the place
+        checked, distinct = 0, 0
+        for (fid, n), primes in PROFILE_GRIDS.items():
+            fam = dataclasses.replace(FAMILIES[fid])        # empty memo
+            for p in primes:
+                if not fam.valid_prime(p, n):
+                    continue
+                base = fam.base_curve(p, n)
+                star = [x for x in bad_places(base)
+                        if local_reduce(base, x).kodaira == "I0*"]
+                for w in fam.W_set(p, n):
+                    E = fam.instantiate(p, n, w)
+                    cs = set()
+                    for x in star:
+                        if _leading(E.twist_of[1], x)[0] != 0:
+                            continue
+                        c = local_reduce(E, x).c
+                        assert c == local_reduce(rebuilt(E), x).c, (fid, x)
+                        assert ("I0* roots", x) in base._memo
+                        cs.add(c)
+                        checked += 1
+                    distinct += len(cs) > 1
+        assert checked == 652 and distinct > 0, (checked, distinct)
 
     def test_only_bases_of_twists_memoise(self):
         F = PrimeField(7)
