@@ -768,9 +768,10 @@ def _condition_holds(cond: str, inv, ell: int) -> bool:
     raise ValueError(f"unknown condition {cond!r}")
 
 
-def _prime_task(args):
-    """The cells of one prime, in w order: one task reads the base model's
-    memoised digits, factors and I0* root counts for all of them."""
+def _cells_task(args):
+    """The cells of one prime at the given ws, in w order: one task reads
+    the base model's memoised digits, factors and I0* root counts for all
+    of them."""
     fam, n, p, ws, ells = args
     cells = []
     for w in ws:
@@ -787,9 +788,10 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
     Failures are recorded in the report, never raised; a max_w below 1 or
     an ell that is not a prime >= 5 raises ValueError.  Primes that hit the
     family's excluded set or a mod-p degeneracy are listed as skipped.  With
-    jobs > 1 the primes are analyzed by a process pool, one task per prime
-    with its cells in w order, and merged back in grid order, so reports
-    are identical to a serial run."""
+    jobs > 1 the cells are analyzed by a process pool, each prime's ws split
+    into up to `jobs` runs of consecutive ws, one task each (so one prime
+    still fills the pool), and merged back in grid order, so reports are
+    identical to a serial run."""
     if isinstance(fam, str):
         fam = FAMILIES[fam]
     if max_w is not None and max_w < 1:
@@ -815,16 +817,18 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
             continue
         if max_w is not None:
             ws = ws[:max_w]
-        tasks.append((fam, n, p, ws, tuple(ells)))
+        step = -(-len(ws) // jobs)
+        tasks.extend((fam, n, p, ws[i:i + step], tuple(ells))
+                     for i in range(0, len(ws), step))
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_prime = list(pool.map(_prime_task, tasks))
+            per_task = list(pool.map(_cells_task, tasks))
     else:
-        per_prime = [_prime_task(t) for t in tasks]
+        per_task = [_cells_task(t) for t in tasks]
 
-    cells = [c for mine in per_prime for c in mine]
+    cells = [c for mine in per_task for c in mine]
     rep.cells.extend(cells)
 
     for p in dict.fromkeys(c["p"] for c in cells):

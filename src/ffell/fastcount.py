@@ -268,15 +268,20 @@ def batch_traces(curve, d: int):
     traces), memoised on the base, drops the beta with u(beta) = 0 and
     multiplies the rest by chi(u(beta)), so only u is evaluated.
     """
-    p = curve.field.p
-    T = field_tables(p, d)
+    return _traces(curve, field_tables(curve.field.p, d))
+
+
+def _traces(curve, T):
+    """batch_traces(curve, T.d) in T; a twist's base is read through this,
+    so one request is one batch_traces call."""
     if curve.twist_of is not None:
         base, u = curve.twist_of
-        reps, traces = base.memoised(("traces", d),
-                                     lambda: batch_traces(base, d))
+        reps, traces = base.memoised(("traces", T.d),
+                                     lambda: _traces(base, T))
         chi = T.chi[T.eval_poly(u, reps)]
         keep = chi != 0
         return reps[keep], traces[keep] * chi[keep]
+    p = T.p
     reps = T.degree_d_representatives()
     A, B = curve.short_coefficients()
     a, b = T.eval_poly(A, reps), T.eval_poly(B, reps)

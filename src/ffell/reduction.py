@@ -238,33 +238,27 @@ def _tate(x: Place, lead_A, lead_B, lead_delta, base=None):
 
 
 def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
-    """Tate's algorithm at x (finite or infinite).  Where a twist's d is a
-    unit at x (e = 0), its I0* cubic T^3 + A u^2 T + B u^3 has its base's
-    root count (T = u S), so the count is memoised on the base."""
-    if curve.twist_of is None:
-        return _tate(x, *_digits(curve, x))
-    base, d = curve.twist_of
-    e, u = _leading(d, x)
-    return _tate(x, *_scaled(base, x, e, u), base=base if e == 0 else None)
+    """Tate's algorithm at x (finite or infinite)."""
+    pairs, shared = _digits(curve, x)
+    return _tate(x, *pairs, base=shared)
 
 
 def _digits(curve: WeierstrassCurve, x: Place):
-    """The (v, r) pairs of A, B and Delta at x; a twist's are its base's,
-    scaled (see _scaled)."""
+    """(pairs, shared): the (v, r) pairs of A, B and Delta at x, and the
+    curve whose I0* root count at x this one shares, or None.  A twist by
+    d, with (e, u) = _leading(d, x), scales its base's pairs, memoised on
+    the base, to (v + k e, r u^k) in residue_field(x) for k = 2, 3, 6.
+    Where d is a unit at x (e = 0) its I0* cubic T^3 + A u^2 T + B u^3 is
+    the base's with T = u S, so it shares the base's root count."""
     if curve.twist_of is None:
-        return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)]
+        return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)], None
     base, d = curve.twist_of
-    return _scaled(base, x, *_leading(d, x))
-
-
-def _scaled(base: WeierstrassCurve, x: Place, e, u):
-    """The pairs of the twist of base by d, (e, u) = _leading(d, x): base's
-    pairs, memoised on base, scaled to (v + k e, r u^k) in residue_field(x)
-    for k = 2, 3, 6."""
-    pairs = base.memoised(("digits", x), lambda: _digits(base, x))
+    pairs = base.memoised(("digits", x), lambda: _digits(base, x)[0])
+    e, u = _leading(d, x)
     K = residue_field(x)
-    return [(v + k * e, K.mul(r, K.pow(u, k))) if v != INF else (v, r)
-            for (v, r), k in zip(pairs, (2, 3, 6))]
+    return ([(v + k * e, K.mul(r, K.pow(u, k))) if v != INF else (v, r)
+             for (v, r), k in zip(pairs, (2, 3, 6))],
+            base if e == 0 else None)
 
 
 def local_root_factor(data: LocalReductionData) -> int:

@@ -219,9 +219,11 @@ class TestVerifyProfile:
         assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize("fid,n,primes", [("intro_N5", 0, [5, 7, 11]),
-                                              ("case2_3ns", 2, [5, 11])])
-    def test_per_prime_tasks_match_serial(self, fid, n, primes):
-        # two workers, each task one prime's cells, merged in grid order
+                                              ("case2_3ns", 2, [5, 11]),
+                                              ("odd_1mod8", 1, [13])])
+    def test_pooled_tasks_match_serial(self, fid, n, primes):
+        # two workers, each task a run of one prime's cells (each prime split
+        # in two), merged in grid order
         serial = verify_profile(fid, n, primes, jobs=1).to_json()
         assert verify_profile(fid, n, primes, jobs=2).to_json() == serial
         assert [c["p"] for c in serial["cells"]] == sorted(
