@@ -88,8 +88,8 @@ class WeierstrassCurve:
         in short form, has a2 d, a4 d^2, a6 d^3, A d^2, B d^3 and Delta d^6,
         and the same j (Silverman, The Arithmetic of Elliptic Curves, X.5).
         The twist records only (self, d) as twist_of and multiplies out
-        none of these until one is read: its factored Delta, leading digits,
-        I0* root counts, isotriviality and traces are read off self."""
+        none of these until one is read: its bad places, leading digits, I0*
+        root counts, isotriviality and traces are read off self."""
         if isinstance(d, int):
             d = Poly(self.field, [d])
         if not d:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Poly, PrimeField, is_prime, legendre
 from .curves import WeierstrassCurve
@@ -36,29 +37,11 @@ from .lfunction import global_invariants
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial helpers over Q (ascending coefficient tuples)
-
-def _pstrip(c):
-    c = [Fraction(x) for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmul(a, b):
-    a, b = _pstrip(a), _pstrip(b)
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
+# exact helpers over Q and their reductions mod p
 
 def _peval(a, x):
     acc = Fraction(0)
-    for c in reversed(_pstrip(a)):
+    for c in reversed(a):
         acc = acc * x + c
     return acc
 
@@ -93,13 +76,17 @@ def _qr(a, ell) -> bool:
     return legendre(a, ell) == 1
 
 
-def _loc_key(F: PrimeField, loc):
-    """A declared location ("inf" or a rational t-value) reduced mod p."""
-    return "inf" if loc == "inf" else _fp_scalar(F, loc)
-
-
 # ---------------------------------------------------------------------------
 # family data
+
+class _ModP(NamedTuple):
+    """A family at (p, n) reduced mod p, for a p neither excluded nor
+    degenerate."""
+    base: WeierstrassCurve      # a2 f, a4 f^2, a6 f^3 with f = prod (t - v)
+    f_roots: list               # the roots v of f mod p
+    h_on_W: dict                # h(w) on W(F_p), keyed by w ascending
+    keys: dict                  # declared location -> "inf" or t mod p
+
 
 @dataclass
 class Family:
@@ -127,16 +114,10 @@ class Family:
     ell_squares: tuple            # valid ell: these are squares mod ell
     ell_nonsquares: tuple         # ... and these are not
     waive_hypotheses: bool
-    # base models, valid_prime verdicts, f's roots and h on W(F_p) mod p by
-    # (kind, p, n); per instance, as an edited declaration may be parsed
-    # again under the same fid
+    # the _ModP record (or None) by (p, n); per instance, as an edited
+    # declaration may be parsed again under the same fid
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
-
-    def _memoised(self, key, make):
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
 
     def _check_n(self, n):
         if n < self.nmin or (self.nmax is not None and n > self.nmax):
@@ -156,87 +137,87 @@ class Family:
         val = _h_of(self.h_pair(n) if which == "h" else self.g)
         return [val(i) for i in idx]
 
-    def f_roots_mod(self, p: int, n: int) -> list:
-        """The roots v_i of f reduced mod p, memoised; ValueError when a
-        denominator vanishes mod p."""
-        return self._memoised(("f", p, n), lambda: [
-            _fp_scalar(PrimeField(p), v) for v in self.f_values(n)])
-
     def valid_ell(self, ell) -> bool:
         return (all(_qr(a, ell) for a in self.ell_squares)
                 and not any(_qr(a, ell) for a in self.ell_nonsquares))
 
-    def base_coeffs(self, n):
-        """(a2 f, a4 f^2, a6 f^3) as exact Q-coefficient tuples."""
+    def _mod_p(self, p: int, n: int, check=True):
+        """The family reduced mod p at the parameter n, computed once: a
+        _ModP, or for an excluded or degenerate p None (with check, a
+        ValueError)."""
         self._check_n(n)
-        f = (Fraction(1),)
-        for v in self.f_values(n):
-            f = _pmul(f, (-v, 1))
-        a2, a4, a6 = self.abase
-        return (_pmul(a2, f), _pmul(a4, _pmul(f, f)),
-                _pmul(a6, _pmul(f, _pmul(f, f))))
+        if (p, n) not in self._memo:
+            self._memo[p, n] = self._reduce(p, n)
+        if check and self._memo[p, n] is None:
+            raise ValueError(f"{self.fid}: invalid prime {p} for n={n}")
+        return self._memo[p, n]
 
-    def base_curve(self, p: int, n: int) -> WeierstrassCurve:
-        F = PrimeField(p)
-        return self._memoised(("base", p, n), lambda: WeierstrassCurve(
-            *(_fp_poly(F, c) for c in self.base_coeffs(n))))
-
-    def valid_prime(self, p: int, n: int) -> bool:
-        """Whether p avoids the excluded set and all mod-p degeneracies."""
-        self._check_n(n)
-        return self._memoised(("valid", p, n),
-                              lambda: self._valid_prime(p, n))
-
-    def _valid_prime(self, p: int, n: int) -> bool:
+    def _reduce(self, p: int, n: int):
+        """The validity pass and the _ModP record it leaves.  Reduction mod p
+        is a ring map wherever the roots of f and the a_i reduce, so the
+        base model built mod p is the Q model reduced; where one of them
+        does not, p divides a denominator of the Q model too (Gauss's
+        lemma)."""
         if not is_prime(p) or p < 5 or self.exclude % p == 0:
-            return False
+            return None
         F = PrimeField(p)
+        prof = self.profile[n % 2]
+        specials = [loc for loc, _, _ in prof["places"]]
         try:
-            vals = self.f_roots_mod(p, n)
-            specials = [_fp_scalar(F, loc) for loc, _, _
-                        in self.profile[n % 2]["places"] if loc != "inf"]
-            num, den = self.h_pair(n)
-            den_p = _fp_poly(F, den)
-            E = self.base_curve(p, n)
-        except ValueError:
-            return False
-        if len(set(vals)) != len(vals):
-            return False            # f not separable mod p
-        if any(v in specials for v in vals):
-            return False            # f vanishes at a special place
-        if not den_p:
-            return False            # beta identically zero mod p
-        return not E.is_isotrivial()
-
-    def h_on_W(self, p: int, n: int) -> dict:
-        """h(w) mod p for every w in W(F_p), keyed by w in ascending order."""
-        return self._memoised(("W", p, n), lambda: self._h_on_W(p, n))
-
-    def _h_on_W(self, p: int, n: int) -> dict:
-        F = PrimeField(p)
-        delta = self.base_curve(p, n).delta
-        num, den = (_fp_poly(F, c) for c in self.h_pair(n))
-        out = {}
+            roots = [_fp_scalar(F, v) for v in self.f_values(n)]
+            keys = {loc: "inf" if loc == "inf" else _fp_scalar(F, loc)
+                    for loc in specials + list(prof.get("equal_c", ()))}
+            num, den = (_fp_poly(F, c) for c in self.h_pair(n))
+            a2, a4, a6 = (_fp_poly(F, c) for c in self.abase)
+        except ValueError:              # a denominator vanishes mod p
+            return None
+        if len(set(roots)) != len(roots):
+            return None                 # f not separable mod p
+        if any(keys[loc] in roots for loc in specials):
+            return None                 # f vanishes at a special place
+        if not den:
+            return None                 # beta identically zero mod p
+        t, f = Poly.t(F), Poly(F, [1])
+        for v in roots:
+            f = f * (t - v)
+        try:
+            E = WeierstrassCurve(a2 * f, a4 * f * f, a6 * f * f * f)
+        except ValueError:              # zero discriminant
+            return None
+        if E.is_isotrivial():
+            return None
+        h_on_W = {}
         for w in range(p):
             dw = den(w)
             if dw:
                 hw = num(w) * pow(dw, p - 2, p) % p
-                if delta(hw):
-                    out[w] = hw
-        return out
+                if E.delta(hw):
+                    h_on_W[w] = hw
+        return _ModP(E, roots, h_on_W, keys)
+
+    def valid_prime(self, p: int, n: int) -> bool:
+        """Whether p avoids the excluded set and all mod-p degeneracies."""
+        return self._mod_p(p, n, check=False) is not None
+
+    def base_curve(self, p: int, n: int) -> WeierstrassCurve:
+        """The base model y^2 = x^3 + a2 f x^2 + a4 f^2 x + a6 f^3 mod p."""
+        return self._mod_p(p, n).base
+
+    def h_on_W(self, p: int, n: int) -> dict:
+        """h(w) mod p for every w in W(F_p), keyed by w in ascending order."""
+        return self._mod_p(p, n).h_on_W
 
     def W_set(self, p: int, n: int) -> list:
         """All w in F_p with beta(w) != 0 and Delta(h(w)) != 0."""
-        return list(self.h_on_W(p, n))
+        return list(self._mod_p(p, n).h_on_W)
 
     def instantiate(self, p: int, n: int, w: int) -> WeierstrassCurve:
         """The member curve at (p, w): the base model twisted by t - h(w)."""
-        if not self.valid_prime(p, n):
-            raise ValueError(f"{self.fid}: invalid prime {p} for n={n}")
-        hw = self.h_on_W(p, n).get(w % p)
+        rec = self._mod_p(p, n)
+        hw = rec.h_on_W.get(w % p)
         if hw is None:
             raise ValueError(f"{self.fid}: w={w} not in W(F_{p})")
-        return self.base_curve(p, n).twist_by(Poly.t(PrimeField(p)) - hw)
+        return rec.base.twist_by(Poly.t(rec.base.field) - hw)
 
     def eps_value(self, p: int, n: int, hw=None):
         """The root number the law predicts at a cell with h(w) = hw mod p
@@ -254,7 +235,7 @@ class Family:
                 elif kind == "a-h":
                     x = x * (a - hw) % p
                 else:                                   # f(a)
-                    for v in self.f_roots_mod(p, n):
+                    for v in self._mod_p(p, n).f_roots:
                         x = x * (a - v) % p
             law *= legendre(x, p) ** n if to_n else legendre(x, p)
         return law
@@ -668,8 +649,8 @@ class CriterionReport:
 def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
     """Local/global data and per-claim check results for one grid cell."""
     E = fam.instantiate(p, n, w)
-    hw = fam.h_on_W(p, n)[w % p]
-    F = E.field
+    rec = fam._mod_p(p, n)
+    hw = rec.h_on_W[w % p]
     inv = global_invariants(E)
     checks = {}
     notes = []
@@ -688,7 +669,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
             checks[key] = getattr(inv, key) == a * n + b
 
     for loc, syms, c_set in prof["places"]:
-        d = by_loc.get(_loc_key(F, loc))
+        d = by_loc.get(rec.keys[loc])
         name = f"place_{loc}"
         if d is None:
             checks[name] = False
@@ -704,7 +685,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
     if "c_I0star" in prof:
         # the twist place and every root of f carry I_0*
         star_ok = True
-        for key in {hw} | set(fam.f_roots_mod(p, n)):
+        for key in {hw} | set(rec.f_roots):
             d = by_loc.get(key)
             if not (d is not None and d.kodaira == "I0*"
                     and d.c in prof["c_I0star"]):
@@ -719,7 +700,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
         checks["c_E_power"] = c == 1
 
     if "equal_c" in prof:
-        a, b = (by_loc.get(_loc_key(F, loc)) for loc in prof["equal_c"])
+        a, b = (by_loc.get(rec.keys[loc]) for loc in prof["equal_c"])
         name = "symmetry_{}_{}".format(*prof["equal_c"])
         checks[name] = a is not None and b is not None and a.c == b.c
 
@@ -770,7 +751,7 @@ def _condition_holds(cond: str, inv, ell: int) -> bool:
 
 def _cells_task(args):
     """The cells of one prime at the given ws, in w order: one task reads
-    the base model's memoised digits, factors and I0* root counts for all
+    the base model's memoised digits, places and I0* root counts for all
     of them."""
     fam, n, p, ws, ells = args
     cells = []

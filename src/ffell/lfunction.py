@@ -52,24 +52,21 @@ class GlobalInvariants:
         }
 
 
-def delta_factors(curve) -> list:
-    """factor(curve.delta)[1]: the (monic irreducible, multiplicity) pairs
-    of Delta.  A twist by d merges its base's, memoised on the base, with
-    factor(d) at 6 times d's multiplicities, as Delta = Delta_0 d^6."""
-    if curve.twist_of is None:
-        return factor(curve.delta)[1]
-    base, d = curve.twist_of
-    merged = dict(base.memoised("factors", lambda: delta_factors(base)))
-    for pi, m in factor(d)[1]:
-        merged[pi] = merged.get(pi, 0) + 6 * m
-    return sorted(merged.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
-
-
 def bad_places(curve) -> list:
     """Places dividing the model discriminant, plus infinity (deterministic
-    order: finite places sorted as in factor(), then infinity)."""
+    order: finite places by degree, then coefficients, as in factor(); then
+    infinity).  As Delta = Delta_0 d^6, a twist by d joins its base's finite
+    places, built once and memoised on the base, with those of factor(d)."""
     F = curve.field
-    out = [Place.finite(F, pi) for pi, _ in delta_factors(curve)]
+    if curve.twist_of is None:
+        out = [Place.finite(F, pi) for pi, _ in factor(curve.delta)[1]]
+    else:
+        base, d = curve.twist_of
+        out = base.memoised("places", lambda: bad_places(base)[:-1])
+        have = {x.pi for x in out}
+        out = sorted(out + [Place.finite(F, pi) for pi, _ in factor(d)[1]
+                            if pi not in have],
+                     key=lambda x: (x.degree, x.pi.coeffs))
     out.append(Place.infinity(F))
     return out
 

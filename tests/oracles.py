@@ -5,10 +5,12 @@ per-place log-domain character sum (for the vectorised kernel and the
 whole-field tables in ffell.fastcount), and Tate's I_n* subprocedure, the
 tangent-slope split test, the rebuilt model at infinity and exact division
 by powers of pi (for the closed forms and the leading pi-adic digits in
-ffell.reduction), and a twist rebuilt as a curve with no base (for
-everything a twist reads off its base)."""
+ffell.reduction), a twist rebuilt as a curve with no base (for
+everything a twist reads off its base), and a family's base model
+multiplied out over Q (for the one ffell.families builds mod p)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -260,3 +262,33 @@ def reference_local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionD
         c = 2 if sym.startswith("III") else 1
     return LocalReductionData(x, sym, **row, c=c, reduction_type="additive",
                               a_x=0, v_min_delta=d)
+
+
+def _qmul(a, b):
+    """The product of two polynomials over Q, as ascending Fraction tuples
+    without trailing zeros."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def reference_base_coeffs(fam, n):
+    """(a2 f, a4 f^2, a6 f^3) of a family's base model as exact Q-coefficient
+    tuples, f the product of t - v over the roots v of f (for the base model
+    a family builds mod p)."""
+    f = (Fraction(1),)
+    for v in fam.f_values(n):
+        f = _qmul(f, (-v, 1))
+    a2, a4, a6 = fam.abase
+    return (_qmul(a2, f), _qmul(a4, _qmul(f, f)),
+            _qmul(a6, _qmul(f, _qmul(f, f))))

@@ -140,6 +140,14 @@ class TestVerifyFamily:
         rec = json.loads(res.stdout)
         assert rec["verdict"] is True and rec["waivers"]
 
+    @pytest.mark.parametrize("fid,n", [("case1_2ns", "1"), ("intro_N5", "1")])
+    def test_n_out_of_range_exits_2(self, runner, fid, n):
+        res = runner.invoke(main, ["verify-family", fid, "--n", n,
+                                   "--primes", "11", "--jobs", "1"])
+        assert res.exit_code == 2
+        assert f"n={n} out of range" in res.stderr
+        assert res.stdout == ""
+
     def test_unknown_family_exits_2(self, runner):
         res = runner.invoke(main, ["verify-family", "nope", "--primes", "5"])
         assert res.exit_code == 2

@@ -1,16 +1,17 @@
 import dataclasses
+import hashlib
 import json
 import re
 
 import pytest
 from click.testing import CliRunner
 
-from ffell.algebra import Poly, PrimeField
+from ffell.algebra import Poly, PrimeField, is_prime
 from ffell.cli import main
 from ffell.families import (FAMILIES, FAMILY_DECLARATIONS, analyze_cell,
                             load_family_file, parse_families, verify_profile)
 from ffell.lfunction import global_invariants
-from oracles import rebuilt
+from oracles import rebuilt, reference_base_coeffs
 
 ALL_IDS = {"intro_N5", "odd_1mod8", "odd_3mod8", "odd_5mod8", "odd_7mod8",
            "even_0mod8", "even_2mod8", "even_4mod8", "even_6mod8",
@@ -49,10 +50,10 @@ class TestRegistry:
                 assert len(num) - 1 <= 4 and len(den) - 1 <= 4, fid
 
     def test_n_out_of_range(self):
-        with pytest.raises(ValueError):
-            FAMILIES["case1_2ns"].base_coeffs(1)
-        with pytest.raises(ValueError):
-            FAMILIES["intro_N5"].base_coeffs(1)
+        for fid in ("case1_2ns", "intro_N5"):       # n below nmin, above nmax
+            for ask in (FAMILIES[fid].valid_prime, FAMILIES[fid].base_curve):
+                with pytest.raises(ValueError, match="n=1 out of range"):
+                    ask(11, 1)
 
 
 class TestBaseModels:
@@ -138,6 +139,17 @@ class TestGrid:
         bad_w = next(w for w in range(p) if w not in fam.W_set(p, 2))
         with pytest.raises(ValueError):
             fam.instantiate(p, 2, bad_w)
+
+    def test_invalid_prime_raises(self):
+        # 7 | 42; h(2) = -1/7 is a root of f; 9 is not prime
+        for fid, p, n in (("case2_3ns", 7, 2), ("odd_5mod8", 7, 1),
+                          ("intro_N5", 9, 0)):
+            fam = FAMILIES[fid]
+            for ask in (fam.base_curve, fam.h_on_W):
+                with pytest.raises(ValueError, match=f"invalid prime {p} "):
+                    ask(p, n)
+            with pytest.raises(ValueError, match=f"invalid prime {p} "):
+                fam.instantiate(p, n, 1)
 
     def test_instantiate_is_twist_of_base(self):
         fam = FAMILIES["odd_3mod8"]
@@ -323,7 +335,8 @@ class TestFamilyFiles:
         path.write_text(EVEN4_FILE)
         fam = load_family_file(path)
         ref = FAMILIES["even_4mod8"]
-        assert fam.base_coeffs(1) == ref.base_coeffs(1)
+        E, R = fam.base_curve(11, 1), ref.base_curve(11, 1)
+        assert (E.a2, E.a4, E.a6) == (R.a2, R.a4, R.a6)
         assert fam.W_set(11, 1) == ref.W_set(11, 1)
         assert fam.f_values(2) == ref.f_values(2)
 
@@ -401,3 +414,87 @@ class TestFamilyFiles:
         assert "verdict: FAIL" in res.stderr
         assert all(c["checks"]["B"] is False
                    for c in json.loads(res.stdout)["cells"])
+
+    @pytest.mark.parametrize("old,new,exit_code", [
+        # a numerator coefficient of h whose denominator dies mod 7
+        ("h = [0, 1] / [1]", "h = [1/7, 1] / [1]", 0),
+        # an equal_c location that dies mod 7 and is no declared place; at
+        # p = 11 there is no bad place at t = 1/7, so the check fails
+        ("c_I0star = {4}", "c_I0star = {4};  equal_c = 1/7, inf", 1)])
+    def test_dead_declared_value_skips_prime(self, tmp_path, old, new,
+                                             exit_code):
+        path = tmp_path / "fam.txt"
+        text = declaration("odd_1mod8")
+        assert old in text
+        path.write_text(text.replace(old, new))
+        res = CliRunner().invoke(main, ["verify-family", str(path), "--n",
+                                        "1", "--primes", "7,11", "--jobs",
+                                        "1"])
+        assert res.exit_code == exit_code, res.output
+        rec = json.loads(res.stdout)
+        assert rec["skipped_primes"] == [[7, "excluded or degenerate mod p"]]
+        assert {c["p"] for c in rec["cells"]} == {11}
+        if "equal_c" in new:
+            assert all(c["checks"]["symmetry_1/7_inf"] is False
+                       for c in rec["cells"])
+
+
+# A family file with rational a_i, h, g, f-roots and place locations, whose
+# denominators 7, 11 and 13 make some primes of the grid degenerate
+RATIONAL_FILE = """\
+id = rational_file;  condition = A;  nmin = 1
+h = [1, 0, 2] / [1, 1/13];  g = [1/2] / [1, 0, 3];  f = g(i) : 1 .. n+1
+a2 = [1/2];  a4 = [0, -3/7];  a6 = [1/3, 0, 2]
+place 0 = {I2} {2};  place 2/11 = {II} {1};  place inf = {I2}
+c_I0star = {4};  equal_c = 0, inf;  eps = (3 h f(0))
+"""
+
+# the primes below 80, and 9, 15 and 25, which are not
+MOD_P_PRIMES = sorted([p for p in range(80) if is_prime(p)] + [9, 15, 25])
+
+
+def mod_p_grid():
+    """(family, n) for the built-ins at n = nmin and nmin + 1, where in
+    range, and for RATIONAL_FILE at n = 1 and 2."""
+    fams = list(FAMILIES.values()) + list(
+        parse_families(RATIONAL_FILE).values())
+    return [(fam, n) for fam in fams for n in (fam.nmin, fam.nmin + 1)
+            if fam.nmax is None or n <= fam.nmax]
+
+
+# sha256 over mod_p_grid(), in order, of json.dumps([fid, n, report, rows],
+# sort_keys=True): the verify_profile(max_w=3) report over MOD_P_PRIMES and,
+# per prime, the valid_prime verdict and at a valid prime the base model's
+# coefficients and W_set.  Computed at commit 58a6040, where each base model
+# was multiplied out over Q and then reduced mod p
+MOD_P_SHA256 = (
+    "17c417e249f788289c432e3d6ea18ca07520f55cbee02bf7225bc9a806d0a43f")
+
+
+class TestModPRecord:
+    def test_pinned_and_equal_to_Q_model_reduced(self):
+        """The grid's reports, verdicts, base models and W_sets against the
+        pin, and each base model against the Q product reduced mod p."""
+        h = hashlib.sha256()
+        cells = 0
+        for fam, n in mod_p_grid():
+            rep = verify_profile(fam, n, MOD_P_PRIMES, max_w=3).to_json()
+            rows = []
+            for p in MOD_P_PRIMES:
+                if not fam.valid_prime(p, n):
+                    rows.append([p, False])
+                    continue
+                E = fam.base_curve(p, n)
+                rows.append([p, True, [list(c.coeffs) for c in
+                                       (E.a2, E.a4, E.a6)],
+                             fam.W_set(p, n)])
+                ref = reference_base_coeffs(fam, n)
+                assert [c.coeffs for c in (E.a2, E.a4, E.a6)] == [
+                    Poly(E.field, [x.numerator * pow(x.denominator, -1, p)
+                                   for x in c]).coeffs for c in ref], (
+                    fam.fid, n, p)
+            h.update(json.dumps([fam.fid, n, rep, rows],
+                                sort_keys=True).encode())
+            cells += len(rep["cells"])
+        assert cells == 1198
+        assert h.hexdigest() == MOD_P_SHA256

@@ -9,7 +9,8 @@ from ffell.algebra import (Poly, PrimeField, build_extension, factor,
                            is_irreducible, is_prime, legendre)
 from ffell.curves import WeierstrassCurve
 from ffell.families import FAMILIES
-from ffell.lfunction import delta_factors, global_invariants
+from ffell import lfunction
+from ffell.lfunction import global_invariants
 from ffell.places import Place, enumerate_places, reduce_at, residue_field
 from ffell.reduction import (INF, _classify, _cubic_roots, _digits,
                              _leading, local_reduce, local_root_factor)
@@ -455,13 +456,14 @@ class TestClosedFormsAgainstReference:
 
 
 def check_inherited(E):
-    """A twist's factored Delta, digits and isotriviality, read off its
-    base, against a fresh computation on its own A, B and Delta, at its bad
-    places and at infinity; returns the factorization."""
-    facs = delta_factors(E)
-    assert facs == factor(E.delta)[1], E
+    """A twist's bad places, digits and isotriviality, read off its base,
+    against a fresh computation on its own A, B and Delta, at its bad places
+    and at infinity; returns the factorization of its Delta."""
+    facs = factor(E.delta)[1]
     F = E.field
-    for x in [Place.finite(F, pi) for pi, _ in facs] + [Place.infinity(F)]:
+    places = [Place.finite(F, pi) for pi, _ in facs] + [Place.infinity(F)]
+    assert lfunction.bad_places(E) == places, E
+    for x in places:
         fresh = [_leading(f, x) for f in (E.A, E.B, E.delta)]
         assert _digits(E, x)[0] == fresh, (E, x)
     q, r = divmod(E.A ** 3, E.delta)
@@ -470,8 +472,8 @@ def check_inherited(E):
 
 
 class TestTwistInheritance:
-    """Twists read their factored Delta, leading digits and isotriviality
-    off their base (lfunction.delta_factors, reduction._digits)."""
+    """Twists read their bad places, leading digits and isotriviality off
+    their base (lfunction.bad_places, reduction._digits)."""
 
     def test_every_grid_cell(self):
         cells = 0
@@ -551,7 +553,7 @@ class TestTwistInheritance:
         Et = E.twist_by(Poly.t(F) - 2)
         inv = global_invariants(Et)
         assert Et._memo == {}
-        assert {"factors", "isotrivial"} <= set(E._memo)
+        assert {"places", "isotrivial"} <= set(E._memo)
         assert inv.to_json() == global_invariants(rebuilt(Et)).to_json()
 
 
