@@ -114,8 +114,9 @@ class Family:
     ell_squares: tuple            # valid ell: these are squares mod ell
     ell_nonsquares: tuple         # ... and these are not
     waive_hypotheses: bool
-    # the _ModP record (or None) by (p, n); per instance, as an edited
-    # declaration may be parsed again under the same fid
+    # the _ModP record (or None) by (p, n) and valid_ell's verdict by ell;
+    # per instance, as an edited declaration may be parsed again under the
+    # same fid
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -138,8 +139,13 @@ class Family:
         return [val(i) for i in idx]
 
     def valid_ell(self, ell) -> bool:
-        return (all(_qr(a, ell) for a in self.ell_squares)
+        """Whether ell meets the declared square classes, computed once
+        per ell (every grid cell asks)."""
+        if ell not in self._memo:
+            self._memo[ell] = (
+                all(_qr(a, ell) for a in self.ell_squares)
                 and not any(_qr(a, ell) for a in self.ell_nonsquares))
+        return self._memo[ell]
 
     def _mod_p(self, p: int, n: int, check=True):
         """The family reduced mod p at the parameter n, computed once: a
@@ -751,8 +757,8 @@ def _condition_holds(cond: str, inv, ell: int) -> bool:
 
 def _cells_task(args):
     """The cells of one prime at the given ws, in w order: one task reads
-    the base model's memoised digits, places and I0* root counts for all
-    of them."""
+    the base model's memoised digits, places and local data for all of
+    them."""
     fam, n, p, ws, ells = args
     cells = []
     for w in ws:

@@ -14,9 +14,11 @@ from .algebra import ExtField, Poly, PrimeField, is_irreducible
 
 
 class Place:
-    """A closed point of P^1 over F_q: a monic irreducible, or infinity."""
+    """A closed point of P^1 over F_q: a monic irreducible, or infinity.
+    Its hash is taken once, at construction or unpickling, as every memo
+    keyed by a place hashes it on each lookup."""
 
-    __slots__ = ("field", "pi", "degree")
+    __slots__ = ("field", "pi", "degree", "_hash")
 
     def __init__(self, field: PrimeField, pi: Poly | None):
         self.field = field
@@ -30,6 +32,7 @@ class Place:
                 raise ValueError("finite place polynomial must be irreducible")
             self.pi = pi
             self.degree = int(pi.degree)
+        self._hash = hash((field, self.pi))
 
     @classmethod
     def infinity(cls, field) -> "Place":
@@ -53,7 +56,15 @@ class Place:
                 and other.pi == self.pi)
 
     def __hash__(self):
-        return hash((self.field, self.pi))
+        return self._hash
+
+    def __getstate__(self):
+        return self.field, self.pi, self.degree
+
+    def __setstate__(self, state):
+        # str hashes differ between processes, so a pickled hash is stale
+        self.field, self.pi, self.degree = state
+        self._hash = hash((self.field, self.pi))
 
     def __repr__(self):
         if self.is_infinite:

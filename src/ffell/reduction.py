@@ -33,15 +33,20 @@ are then closed forms:
 A quadratic twist by d has A d^2, B d^3 and Delta d^6.  With (e, u) the
 valuation and leading digit of d at x, its (v, r) pairs are its base's
 shifted and scaled in K, (v + k e, r u^k) for k = 2, 3, 6, and (INF, 0)
-stays (INF, 0); at infinity e = -deg d and u is d's top coefficient.  So a
-twist walks only d's division chain and takes a few products in K; the
-base's pairs are memoised on the base, keyed by the place.  Where d is a
-unit at x (e = 0) the twist's I0* cubic T^3 + A u^2 T + B u^3 is the base's
-with T = u S, so it has the same number of roots in K; that count is
-memoised on the base too.  For a family member, the base model twisted by
-t - h(w), the base's pairs at the twist place (e = 1, u = 1) take one
-division each, and those at infinity and at the base's own bad places, and
-the I0* root counts at the latter, are shared by every member.
+stays (INF, 0); at infinity e = -deg d and u is d's top coefficient.  So
+every valuation, and with them the symbol and s, are fixed by x and e, and
+u enters the closed forms above only through chi_K(u): chi_K(6B u^3) at
+I_n, chi_K(Delta u^6) or chi_K(Delta (-6B) u^9) at I_n*, chi_K(B u^3) at IV
+and IV*, and the I0* cubic T^3 + A u^2 T + B u^3 is the base's with
+T = u S, so it has the same number of roots; II, III, III* and II* read
+no digit.  A twist's local data at x is
+therefore memoised on its base under (x, e, chi_K(u)), and the base's pairs
+under ("digits", x); only I0 is computed each time, as its minimal fiber
+holds A u^2 and B u^3.  For a family member, the base model twisted by
+t - h(w), the data at infinity (e = -1, u = 1) are shared by every member,
+those at a base bad place, where d is a unit, by every member with the same
+chi_K(u) there, and those at the twist place (e = 1, u = 1) by every member
+with the same h(w).
 """
 
 from __future__ import annotations
@@ -182,11 +187,10 @@ def _cubic_roots(K, a, b) -> int:
     return 3 if (u0, u1, u2) == (zero, one, zero) else 0
 
 
-def _tate(x: Place, lead_A, lead_B, lead_delta, base=None):
+def _tate(x: Place, lead_A, lead_B, lead_delta):
     """Tate's algorithm at x on y^2 = x^3 + Ax + B from the (valuation,
     leading digit) pairs of A, B and Delta, digits raw values of
-    K = residue_field(x).  base, for a twist by a unit at x, is the curve
-    whose I0* root count at x it shares, memoised there."""
+    K = residue_field(x)."""
     (vA, rA), (vB, rB), (vd, rd) = lead_A, lead_B, lead_delta
     # A or B = 0 (j = 0 or 1728) bounds nothing; inf // 4 would be nan
     s = min(v // w for v, w in ((vA, 4), (vB, 6), (vd, 12)) if v != INF)
@@ -223,10 +227,7 @@ def _tate(x: Place, lead_A, lead_B, lead_delta, base=None):
 
     # additive types
     if sym == "I0*":
-        def roots():
-            return _cubic_roots(K, digit(rA, a, 2), digit(rB, b, 3))
-        c = 1 + (roots() if base is None
-                 else base.memoised(("I0* roots", x), roots))
+        c = 1 + _cubic_roots(K, digit(rA, a, 2), digit(rB, b, 3))
     elif sym[1].isdigit():  # I_n*, n = d - 6 >= 1
         c = 3 + chi(mul(rd, mul(K.coerce(-6), rB)) if d % 2 else rd)
     elif sym in ("IV", "IV*"):
@@ -238,27 +239,34 @@ def _tate(x: Place, lead_A, lead_B, lead_delta, base=None):
 
 
 def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
-    """Tate's algorithm at x (finite or infinite)."""
-    pairs, shared = _digits(curve, x)
-    return _tate(x, *pairs, base=shared)
+    """Tate's algorithm at x (finite or infinite).  A twist by d, with
+    (e, u) = _leading(d, x), reads its data off its base, memoised there
+    under (x, e, chi_K(u)), unless it is I0: beyond I0, u enters only
+    through chi_K(u), but the I0 minimal_fiber holds A u^2 and B u^3."""
+    if curve.twist_of is None:
+        return _tate(x, *_digits(curve, x))
+    base, d = curve.twist_of
+    e, u = _leading(d, x)
+    key = (x, e, residue_field(x).legendre_raw(u))
+    if (data := base._memo.get(key)) is None:
+        data = _tate(x, *_digits(curve, x))
+        if data.kodaira != "I0":
+            base._memo[key] = data
+    return data
 
 
 def _digits(curve: WeierstrassCurve, x: Place):
-    """(pairs, shared): the (v, r) pairs of A, B and Delta at x, and the
-    curve whose I0* root count at x this one shares, or None.  A twist by
-    d, with (e, u) = _leading(d, x), scales its base's pairs, memoised on
-    the base, to (v + k e, r u^k) in residue_field(x) for k = 2, 3, 6.
-    Where d is a unit at x (e = 0) its I0* cubic T^3 + A u^2 T + B u^3 is
-    the base's with T = u S, so it shares the base's root count."""
+    """The (v, r) pairs of A, B and Delta at x.  A twist by d, with
+    (e, u) = _leading(d, x), scales its base's pairs, memoised on the base,
+    to (v + k e, r u^k) in residue_field(x) for k = 2, 3, 6."""
     if curve.twist_of is None:
-        return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)], None
+        return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)]
     base, d = curve.twist_of
-    pairs = base.memoised(("digits", x), lambda: _digits(base, x)[0])
+    pairs = base.memoised(("digits", x), lambda: _digits(base, x))
     e, u = _leading(d, x)
     K = residue_field(x)
-    return ([(v + k * e, K.mul(r, K.pow(u, k))) if v != INF else (v, r)
-             for (v, r), k in zip(pairs, (2, 3, 6))],
-            base if e == 0 else None)
+    return [(v + k * e, K.mul(r, K.pow(u, k))) if v != INF else (v, r)
+            for (v, r), k in zip(pairs, (2, 3, 6))]
 
 
 def local_root_factor(data: LocalReductionData) -> int:

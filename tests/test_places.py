@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +98,21 @@ class TestEnumeratePlaces:
     def test_no_duplicates(self):
         ps = list(enumerate_places(F5, 3))
         assert len(ps) == len(set(ps))
+
+    def test_pickled_in_another_process_hashes_here(self):
+        # a place stores its hash, and str hashes differ between processes:
+        # a place pickled under another hash seed must hash as one built here
+        code = ("import pickle, sys; from ffell.algebra import PrimeField; "
+                "from ffell.places import enumerate_places; "
+                "sys.stdout.buffer.write(pickle.dumps("
+                "list(enumerate_places(PrimeField(5), 2))))")
+        env = dict(os.environ, PYTHONHASHSEED="1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, check=True).stdout
+        here = list(enumerate_places(F5, 2))
+        assert pickle.loads(out) == here
+        assert {hash(x) for x in pickle.loads(out)} == {hash(x) for x in here}
 
 
 class TestResidue:

@@ -465,7 +465,7 @@ def check_inherited(E):
     assert lfunction.bad_places(E) == places, E
     for x in places:
         fresh = [_leading(f, x) for f in (E.A, E.B, E.delta)]
-        assert _digits(E, x)[0] == fresh, (E, x)
+        assert _digits(E, x) == fresh, (E, x)
     q, r = divmod(E.A ** 3, E.delta)
     assert E.is_isotrivial() == (not r and q.degree <= 0), E
     return facs
@@ -516,12 +516,13 @@ class TestTwistInheritance:
                 assert got.minimal_fiber == ref.minimal_fiber, (Et, x)
         # e > 0 at a base place: v(Delta) at t - 1 is 9 + 6
         x = Place.rational(F, 1)
-        assert _digits(E.twist_by(d2), x)[0][2][0] == 15
+        assert _digits(E.twist_by(d2), x)[2][0] == 15
 
     def test_I0star_root_counts_shared_at_units(self):
-        # where d is a unit at a base I0* place, the twist reads the base's
-        # root count there, memoised per place: bases with two such places
-        # of different c catch a memo that ignores the place
+        # where d is a unit u at a base I0* place, the twist reads the
+        # base's local data there, memoised under (place, 0, chi(u)):
+        # bases with two such places of different c catch a memo that
+        # ignores the place
         checked, distinct = 0, 0
         for (fid, n), primes in PROFILE_GRIDS.items():
             fam = dataclasses.replace(FAMILIES[fid])        # empty memo
@@ -535,11 +536,14 @@ class TestTwistInheritance:
                     E = fam.instantiate(p, n, w)
                     cs = set()
                     for x in star:
-                        if _leading(E.twist_of[1], x)[0] != 0:
+                        e, u = _leading(E.twist_of[1], x)
+                        if e != 0:
                             continue
-                        c = local_reduce(E, x).c
+                        data = local_reduce(E, x)
+                        c = data.c
                         assert c == local_reduce(rebuilt(E), x).c, (fid, x)
-                        assert ("I0* roots", x) in base._memo
+                        chi = residue_field(x).legendre_raw(u)
+                        assert base._memo[x, 0, chi] is data, (fid, x)
                         cs.add(c)
                         checked += 1
                     distinct += len(cs) > 1
@@ -555,6 +559,61 @@ class TestTwistInheritance:
         assert Et._memo == {}
         assert {"places", "isotrivial"} <= set(E._memo)
         assert inv.to_json() == global_invariants(rebuilt(Et)).to_json()
+
+
+def assert_as_rebuilt(E):
+    """E's local data at each of its bad places equals that of its model
+    rebuilt with no base."""
+    plain = rebuilt(E)
+    for x in lfunction.bad_places(E):
+        got, ref = local_reduce(E, x), local_reduce(plain, x)
+        assert got.to_json() == ref.to_json(), (E, x)
+        assert got.minimal_fiber == ref.minimal_fiber, (E, x)
+
+
+class TestTwistLocalDataMemo:
+    """A twist by d reads its local data at x off its base, memoised under
+    (x, e, chi(u)) with (e, u) = _leading(d, x), except at I0."""
+
+    def test_grid_cells_in_shuffled_order(self):
+        # fresh family memos, so each cell reads base entries that cells
+        # before it, of any w, filled
+        cells = []
+        for (fid, n), primes in PROFILE_GRIDS.items():
+            fam = dataclasses.replace(FAMILIES[fid])        # empty memo
+            cells += [(fam, p, n, w) for p in primes
+                      if fam.valid_prime(p, n) for w in fam.W_set(p, n)]
+        assert len(cells) == 307
+        random.Random(19).shuffle(cells)
+        for fam, p, n, w in cells:
+            assert_as_rebuilt(fam.instantiate(p, n, w))
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_twists_of_one_base(self, p):
+        F = PrimeField(p)
+        t = Poly.t(F)
+        beta = next(b for b in range(2, p) if legendre(b, p) == -1)
+        pi = t - 2
+        # non-minimal at t = 2 (A pi^4, B pi^6 with A(2) B(2) Delta(2) != 0):
+        # I0 there, and a twist by c or 4c keeps e = 0 and chi(c) but not
+        # the minimal fiber
+        base = WeierstrassCurve(Poly(F, []), pi ** 4 * (t + 1), pi ** 6 * t)
+        x = Place.rational(F, 2)
+        assert local_reduce(base, x).kodaira == "I0"
+        E0 = intro_base(p)       # Delta_0 = c t^2 (t - 1)^9 (t + 1)^9
+        # constants (e = 0 everywhere) in both square classes; d sharing a
+        # base place (t - 2 of base, t and t - 1 of E0: e = 1 there) with
+        # leading digits of both classes; deg d odd and even (e = -deg d
+        # at infinity)
+        ds = ([Poly(F, [c]) for c in (1, 4, beta, 4 * beta)]
+              + [pi, beta * pi, pi * (t - 3), t, beta * t * (t - 1),
+                 t * t - 3, beta * (t - 3) ** 3, (t + 1) ** 4])
+        for order in (ds, ds[::-1]):
+            for d in order:
+                assert_as_rebuilt(base.twist_by(d))
+                assert_as_rebuilt(E0.twist_by(d))
+        assert any(len(key) == 3 and key[0] == x and key[1] == 1
+                   for key in base._memo)
 
 
 # sha256 over every cell of PROFILE_GRIDS, in grid order, of
