@@ -577,21 +577,24 @@ def factor(f: Poly):
     return lead, out
 
 
+def monic_irreducibles(F: PrimeField, d: int):
+    """Yield the monic irreducibles of degree d over F, in the lexicographic
+    order of their coefficients read from t^(d-1) down to 1 (the order of
+    n = c_0 + c_1 p + ... + c_(d-1) p^(d-1))."""
+    p = F.p
+    for n in range(p ** d):
+        f = Poly._raw(F, [n // p ** i % p for i in range(d)] + [1])
+        if is_irreducible(f):
+            yield f
+
+
 def build_extension(p: int, d: int) -> PrimeField | ExtField:
-    """Deterministic field with p^d elements (first irreducible in lex order)."""
+    """Deterministic field with p^d elements (modulus the first monic
+    irreducible of monic_irreducibles)."""
     F = PrimeField(p)
     if d == 1:
         return F
-    for n in range(p ** d):
-        cs = []
-        m = n
-        for _ in range(d):
-            cs.append(m % p)
-            m //= p
-        cand = Poly._raw(F, cs + [1])
-        if is_irreducible(cand):
-            return ExtField(F, list(cand.coeffs))
-    raise RuntimeError("unreachable: irreducible polynomial exists for every degree")
+    return ExtField(F, list(next(monic_irreducibles(F, d)).coeffs))
 
 
 class SquareClass:

@@ -114,9 +114,8 @@ class Family:
     ell_squares: tuple            # valid ell: these are squares mod ell
     ell_nonsquares: tuple         # ... and these are not
     waive_hypotheses: bool
-    # the _ModP record (or None) by (p, n) and valid_ell's verdict by ell;
-    # per instance, as an edited declaration may be parsed again under the
-    # same fid
+    # the _ModP record (or None) by (p, n); per instance, as an edited
+    # declaration may be parsed again under the same fid
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
@@ -139,13 +138,9 @@ class Family:
         return [val(i) for i in idx]
 
     def valid_ell(self, ell) -> bool:
-        """Whether ell meets the declared square classes, computed once
-        per ell (every grid cell asks)."""
-        if ell not in self._memo:
-            self._memo[ell] = (
-                all(_qr(a, ell) for a in self.ell_squares)
+        """Whether ell meets the declared square classes."""
+        return (all(_qr(a, ell) for a in self.ell_squares)
                 and not any(_qr(a, ell) for a in self.ell_nonsquares))
-        return self._memo[ell]
 
     def _mod_p(self, p: int, n: int, check=True):
         """The family reduced mod p at the parameter n, computed once: a
@@ -653,7 +648,8 @@ class CriterionReport:
 
 
 def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
-    """Local/global data and per-claim check results for one grid cell."""
+    """Local/global data and per-claim check results for one grid cell;
+    ells are the family's valid ells (verify_profile filters them once)."""
     E = fam.instantiate(p, n, w)
     rec = fam._mod_p(p, n)
     hw = rec.h_on_W[w % p]
@@ -734,7 +730,7 @@ def analyze_cell(fam: Family, p: int, n: int, w: int, ells=()):
         notes.append("root number -1: condition not attainable at this cell")
     else:
         for ell in ells:
-            if not fam.valid_ell(ell) or (6 * p * inv.script_L) % ell == 0:
+            if (6 * p * inv.script_L) % ell == 0:
                 continue
             checks[f"condition_{fam.condition}_ell{ell}"] = _condition_holds(
                 fam.condition, inv, ell)
@@ -789,6 +785,7 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
     rep = CriterionReport(family=fam.fid, n=n, condition=fam.condition)
     if fam.waive_hypotheses:
         rep.waivers = ["I0* at only one affine closed point", "6B > N"]
+    valid = tuple(ell for ell in ells if fam.valid_ell(ell))
     tasks = []
     for p in primes:
         if not fam.valid_prime(p, n):
@@ -805,7 +802,7 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
         if max_w is not None:
             ws = ws[:max_w]
         step = -(-len(ws) // jobs)
-        tasks.extend((fam, n, p, ws[i:i + step], tuple(ells))
+        tasks.extend((fam, n, p, ws[i:i + step], valid)
                      for i in range(0, len(ws), step))
 
     if jobs > 1:

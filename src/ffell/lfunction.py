@@ -55,20 +55,18 @@ class GlobalInvariants:
 def bad_places(curve) -> list:
     """Places dividing the model discriminant, plus infinity (deterministic
     order: finite places by degree, then coefficients, as in factor(); then
-    infinity).  As Delta = Delta_0 d^6, a twist by d joins its base's finite
-    places, built once and memoised on the base, with those of factor(d)."""
+    infinity).  As Delta = Delta_0 d^6, a twist by d joins its base's list,
+    built once and memoised on the base, with the places of factor(d) it
+    lacks, and ends with the base's infinity place."""
     F = curve.field
     if curve.twist_of is None:
-        out = [Place.finite(F, pi) for pi, _ in factor(curve.delta)[1]]
-    else:
-        base, d = curve.twist_of
-        out = base.memoised("places", lambda: bad_places(base)[:-1])
-        have = {x.pi for x in out}
-        out = sorted(out + [Place.finite(F, pi) for pi, _ in factor(d)[1]
-                            if pi not in have],
-                     key=lambda x: (x.degree, x.pi.coeffs))
-    out.append(Place.infinity(F))
-    return out
+        return ([Place.finite(F, pi) for pi, _ in factor(curve.delta)[1]]
+                + [Place.infinity(F)])
+    base, d = curve.twist_of
+    *finite, inf = base.memoised("places", lambda: bad_places(base))
+    have = {x.pi for x in finite}
+    finite += [Place.finite(F, pi) for pi, _ in factor(d)[1] if pi not in have]
+    return sorted(finite, key=lambda x: (x.degree, x.pi.coeffs)) + [inf]
 
 
 def global_invariants(curve) -> GlobalInvariants:

@@ -10,7 +10,8 @@ Reduction at infinity reads top coefficients instead (reduction.local_reduce).
 
 from __future__ import annotations
 
-from .algebra import ExtField, Poly, PrimeField, is_irreducible
+from .algebra import (ExtField, Poly, PrimeField, is_irreducible,
+                      monic_irreducibles)
 
 
 class Place:
@@ -120,22 +121,9 @@ def enumerate_places(field: PrimeField, d_max: int):
     """Yield infinity, then every finite place of degree <= d_max.
 
     Deterministic order: infinity first, then degree ascending, and within a
-    degree the lexicographic order of ascending coefficient vectors.
+    degree the order of algebra.monic_irreducibles.
     """
     yield Place.infinity(field)
-    q = field.p
-    F = field
     for d in range(1, d_max + 1):
-        if d == 1:
-            for a in range(q):
-                yield Place(F, Poly(F, [a, 1]))
-            continue
-        for n in range(q ** d):
-            cs = []
-            m = n
-            for _ in range(d):
-                cs.append(m % q)
-                m //= q
-            f = Poly._raw(F, cs + [1])
-            if is_irreducible(f):
-                yield Place(F, f)
+        for f in monic_irreducibles(field, d):
+            yield Place(field, f)

@@ -242,31 +242,29 @@ def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
     """Tate's algorithm at x (finite or infinite).  A twist by d, with
     (e, u) = _leading(d, x), reads its data off its base, memoised there
     under (x, e, chi_K(u)), unless it is I0: beyond I0, u enters only
-    through chi_K(u), but the I0 minimal_fiber holds A u^2 and B u^3."""
+    through chi_K(u), but the I0 minimal_fiber holds A u^2 and B u^3.  On
+    a miss or at I0 it scales its base's pairs, memoised on the base under
+    ("digits", x), to (v + k e, r u^k) in K for k = 2, 3, 6."""
     if curve.twist_of is None:
         return _tate(x, *_digits(curve, x))
     base, d = curve.twist_of
     e, u = _leading(d, x)
-    key = (x, e, residue_field(x).legendre_raw(u))
+    K = residue_field(x)
+    key = (x, e, K.legendre_raw(u))
     if (data := base._memo.get(key)) is None:
-        data = _tate(x, *_digits(curve, x))
+        pairs = base.memoised(("digits", x), lambda: _digits(base, x))
+        data = _tate(x, *[(v + k * e, K.mul(r, K.pow(u, k))) if v != INF
+                          else (v, r) for (v, r), k in zip(pairs, (2, 3, 6))])
         if data.kodaira != "I0":
             base._memo[key] = data
     return data
 
 
 def _digits(curve: WeierstrassCurve, x: Place):
-    """The (v, r) pairs of A, B and Delta at x.  A twist by d, with
-    (e, u) = _leading(d, x), scales its base's pairs, memoised on the base,
-    to (v + k e, r u^k) in residue_field(x) for k = 2, 3, 6."""
-    if curve.twist_of is None:
-        return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)]
-    base, d = curve.twist_of
-    pairs = base.memoised(("digits", x), lambda: _digits(base, x))
-    e, u = _leading(d, x)
-    K = residue_field(x)
-    return [(v + k * e, K.mul(r, K.pow(u, k))) if v != INF else (v, r)
-            for (v, r), k in zip(pairs, (2, 3, 6))]
+    """The (v, r) pairs of A, B and Delta at x, read off the curve's own
+    polynomials (a twist's are its base's times d^k, multiplied out at
+    first read)."""
+    return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)]
 
 
 def local_root_factor(data: LocalReductionData) -> int:

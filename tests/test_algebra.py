@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffell.algebra import (
     PrimeField, ExtField, Poly, SquareClass, build_extension, factor,
-    is_irreducible, legendre,
+    is_irreducible, legendre, monic_irreducibles,
 )
 from ffell.lfunction import _square_class_mod_rational
 from ffell.orthogonal import square_class_mod
@@ -179,6 +180,19 @@ class TestExtension:
 
     def test_deterministic(self):
         assert build_extension(13, 4).modulus == build_extension(13, 4).modulus
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_monic_irreducibles_by_brute_force(self, p, d):
+        # every monic of degree d, coefficients t^(d-1) .. 1 in lexicographic
+        # order, kept when factor finds it its own single factor
+        F = PrimeField(p)
+        monics = [Poly(F, list(top[::-1]) + [1])
+                  for top in itertools.product(range(p), repeat=d)]
+        brute = [f for f in monics if factor(f)[1] == [(f, 1)]]
+        assert list(monic_irreducibles(F, d)) == brute
+        if d > 1:
+            assert build_extension(p, d).modulus == brute[0].coeffs
 
     def test_encode_decode_roundtrip(self):
         K = build_extension(5, 3)

@@ -257,6 +257,25 @@ class TestVerifyProfile:
         assert rep.verdict and len(rep.cells) == 4
         assert built == [5, 7]
 
+    def test_valid_ells_filtered_once(self, monkeypatch):
+        # case1_2ns declares 2 a nonsquare mod ell, so 7 is not valid; the
+        # cells are handed the valid ells only
+        from ffell import families
+        seen = []
+
+        def recording(fam, p, n, w, ells=()):
+            seen.append(ells)
+            return analyze(fam, p, n, w, ells)
+
+        analyze = families.analyze_cell
+        monkeypatch.setattr(families, "analyze_cell", recording)
+        rep = verify_profile("case1_2ns", 2, [7, 11], ells=(5, 7, 11, 13),
+                             max_w=2)
+        assert len(rep.cells) == 4
+        assert seen == [(5, 11, 13)] * 4
+        assert not any(k.endswith("_ell7") for c in rep.cells
+                       for k in c["checks"])
+
     def test_kodaira_multiset_constant_over_w(self):
         rep = verify_profile("case2_3ns", 2, [11], max_w=None)
         assert rep.verdict and not rep.kodaira_mismatch

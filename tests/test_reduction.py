@@ -560,6 +560,18 @@ class TestTwistInheritance:
         assert {"places", "isotrivial"} <= set(E._memo)
         assert inv.to_json() == global_invariants(rebuilt(Et)).to_json()
 
+    def test_twists_of_one_base_share_its_infinity(self):
+        # the base's bad places, infinity included, are built once; a twist
+        # copies the list rather than extending it
+        F = PrimeField(7)
+        t = Poly.t(F)
+        E = intro_base(7)
+        E1, E2 = E.twist_by(t - 2), E.twist_by(t * t + 1)
+        x1, x2 = lfunction.bad_places(E1), lfunction.bad_places(E2)
+        assert x1[-1] is x2[-1] and x1[-1].is_infinite
+        assert E._memo["places"] == bad_places(E)
+        assert x1 == bad_places(E1) and x2 == bad_places(E2)
+
 
 def assert_as_rebuilt(E):
     """E's local data at each of its bad places equals that of its model
@@ -614,6 +626,30 @@ class TestTwistLocalDataMemo:
                 assert_as_rebuilt(E0.twist_by(d))
         assert any(len(key) == 3 and key[0] == x and key[1] == 1
                    for key in base._memo)
+
+    def test_miss_reads_d_once(self, monkeypatch):
+        # on a memo miss (a fresh base) and at I0 the twist reads d's
+        # valuation and leading digit once, for the key and the scaling
+        from ffell import reduction
+        reads = []
+
+        def counting(f, x):
+            if f is d:
+                reads.append(x)
+            return leading(f, x)
+
+        leading = reduction._leading
+        monkeypatch.setattr(reduction, "_leading", counting)
+        F = PrimeField(7)
+        t = Poly.t(F)
+        d = t - 2
+        E = intro_base(7).twist_by(d)
+        places = lfunction.bad_places(E) + [Place.rational(F, 3)]
+        for x in places:
+            reads.clear()
+            local_reduce(E, x)
+            assert reads == [x], x
+        assert local_reduce(E, places[-1]).kodaira == "I0"
 
 
 # sha256 over every cell of PROFILE_GRIDS, in grid order, of
