@@ -785,7 +785,7 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
     rep = CriterionReport(family=fam.fid, n=n, condition=fam.condition)
     if fam.waive_hypotheses:
         rep.waivers = ["I0* at only one affine closed point", "6B > N"]
-    valid = tuple(ell for ell in ells if fam.valid_ell(ell))
+    valid = [ell for ell in ells if fam.valid_ell(ell)]
     tasks = []
     for p in primes:
         if not fam.valid_prime(p, n):

@@ -272,7 +272,7 @@ class TestVerifyProfile:
         rep = verify_profile("case1_2ns", 2, [7, 11], ells=(5, 7, 11, 13),
                              max_w=2)
         assert len(rep.cells) == 4
-        assert seen == [(5, 11, 13)] * 4
+        assert seen == [[5, 11, 13]] * 4
         assert not any(k.endswith("_ell7") for c in rep.cells
                        for k in c["checks"])
 
