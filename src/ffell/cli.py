@@ -3,7 +3,9 @@ verification, and the excluded-order certification sweep.
 
 Exit codes: 0 = all checks pass, 1 = a mathematical check failed,
 2 = usage or parse error (an --ell that is not a prime >= 5, a lemma92
---ell-max below 5), or a verify-family grid with every prime skipped
+--ell-max below 5), a field beyond the character-sum tables or one whose
+tables ran out of memory in `reduce` or `lfunction` (the message names p,
+the degree and q), or a verify-family grid with every prime skipped
 (nothing verified).  All commands are deterministic; JSON is the
 machine interface (written to --out when given, printed otherwise) and a
 short human-readable summary goes to the terminal alongside.
@@ -119,7 +121,7 @@ def reduce(curve_file, place, out):
     x = _parse_place(E, place)
     try:
         data = local_reduce(E, x)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise click.UsageError(str(exc))
     click.echo(f"place {x}: {data.kodaira}  ({data.reduction_type}, "
                f"c = {data.c})", err=True)
@@ -140,7 +142,7 @@ def lfunction_cmd(curve_file, check_fe, ells, out):
     try:
         inv = global_invariants(E)
         L = lfunction(E, inv)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise click.UsageError(str(exc))
     payload = {"invariants": inv.to_json(), "L": L.to_json()}
     failed = False

@@ -185,7 +185,7 @@ class Family:
             E = WeierstrassCurve(a2 * f, a4 * f * f, a6 * f * f * f)
         except ValueError:              # zero discriminant
             return None
-        if E.is_isotrivial():
+        if E.memoised("isotrivial", E.is_isotrivial):
             return None
         h_on_W = {}
         for w in range(p):

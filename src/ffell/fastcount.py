@@ -43,6 +43,7 @@ orbits, listed in increasing order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
@@ -243,14 +244,28 @@ def field_tables(p: int, d: int) -> FieldTables:
     return _TABLE_CACHE[key]
 
 
+@contextmanager
+def _naming_field(p: int, d: int):
+    """Re-raise a MemoryError, from the tables' build or their cubic_table,
+    with the field it was building."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory building the tables of F_{p}^{d}: "
+                          f"p = {p}, degree {d}, q = {p ** d}") from exc
+
+
 def place_trace(pi, A, B) -> int:
     """a_x of y^2 = x^3 + A x + B (polynomials over F_p) at the finite place
     pi of good reduction, read in field_tables(p, deg pi) at the smallest
     root of pi; ntt_prime refuses a degree beyond them before any build."""
-    ntt_prime(pi.field.p, pi.degree)
-    T = field_tables(pi.field.p, pi.degree)
-    beta = np.flatnonzero(T.eval_poly(pi, np.arange(T.q)) == 0)[:1]
-    return -int(T.cubic_sums(T.eval_poly(A, beta), T.eval_poly(B, beta))[0])
+    p, d = pi.field.p, pi.degree
+    ntt_prime(p, d)
+    with _naming_field(p, d):
+        T = field_tables(p, d)
+        beta = np.flatnonzero(T.eval_poly(pi, np.arange(T.q)) == 0)[:1]
+        return -int(T.cubic_sums(T.eval_poly(A, beta),
+                                 T.eval_poly(B, beta))[0])
 
 
 def batch_traces(curve, d: int):
@@ -268,7 +283,8 @@ def batch_traces(curve, d: int):
     traces), memoised on the base, drops the beta with u(beta) = 0 and
     multiplies the rest by chi(u(beta)), so only u is evaluated.
     """
-    return _traces(curve, field_tables(curve.field.p, d))
+    with _naming_field(curve.field.p, d):
+        return _traces(curve, field_tables(curve.field.p, d))
 
 
 def _traces(curve, T):

@@ -57,7 +57,8 @@ def bad_places(curve) -> list:
     order: finite places by degree, then coefficients, as in factor(); then
     infinity).  As Delta = Delta_0 d^6, a twist by d joins its base's list,
     built once and memoised on the base, with the places of factor(d) it
-    lacks, and ends with the base's infinity place."""
+    lacks, each also built once per base, and ends with the base's
+    infinity place."""
     F = curve.field
     if curve.twist_of is None:
         return ([Place.finite(F, pi) for pi, _ in factor(curve.delta)[1]]
@@ -65,7 +66,8 @@ def bad_places(curve) -> list:
     base, d = curve.twist_of
     *finite, inf = base.memoised("places", lambda: bad_places(base))
     have = {x.pi for x in finite}
-    finite += [Place.finite(F, pi) for pi, _ in factor(d)[1] if pi not in have]
+    finite += [base.memoised(("place", pi), lambda: Place.finite(F, pi))
+               for pi, _ in factor(d)[1] if pi not in have]
     return sorted(finite, key=lambda x: (x.degree, x.pi.coeffs)) + [inf]
 
 

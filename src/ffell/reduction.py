@@ -10,15 +10,22 @@ the JSON output read.  `_classify` returns it together with its table row.
 The algorithm reads only the short model y^2 = x^3 + Ax + B, with
 A = -c4/48 and B = -c6/864, and Delta; v(A) = v(c4) and v(B) = v(c6).
 Infinity is an ordinary place with uniformizer pi = 1/t: there v(f) = -deg f
-and the leading digit of f is its top coefficient.  At a finite place pi the
-leading digit of f is the first nonzero remainder of the division chain that
-finds v(f), so no power of pi is formed.  The minimal model is A/pi^(4s),
+and the leading digit of f is its top coefficient.  At a finite place pi
+the leading digit of f is f/pi^v(f) mod pi, and no power of pi is formed:
+at pi = t - a it is the Taylor coefficient f^(v)(a)/v!, read by synthetic
+division on plain ints, and at a place of higher degree the first nonzero
+remainder of the division chain on raw coefficient lists.  Delta's pair
+needs no chain of its own where 3 v(A) != 2 v(B): Delta = -64 A^3 -
+432 B^2, so v(Delta) = min(3 v(A), 2 v(B)) and its digit is -64 r_A^3 or
+-432 r_B^2, at infinity too and with v = INF for A = 0 or B = 0.  Only where
+the two terms tie can they cancel, and there (multiplicative, I0, I0* and
+I_n* places) Delta's own digit is read.  The minimal model is A/pi^(4s),
 B/pi^(6s), Delta/pi^(12s), and each residue read, f/pi^e mod pi for a
 minimal coefficient f, is 0 when v(f) > e and otherwise the leading digit of
 A, B or Delta.  Every residue is a raw value of K = residue_field(x)
 (F_q[t]/(pi), or F_q at infinity), with quadratic character chi_K, taken
-once where the division chain finds it.  Tamagawa numbers and split types
-are then closed forms:
+once where its digit is read.  Tamagawa numbers and split types are then
+closed forms:
 
 - I_n, n >= 1: split iff 6B is a square in K.  The node is at the double
   root x0 = -3B/(2A), the tangent slopes there are +-sqrt(3 x0), and
@@ -54,10 +61,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Poly, legendre
+from .algebra import Poly, _poly_divmod, legendre
 from .curves import WeierstrassCurve
 from .fastcount import place_trace
-from .places import Place, reduce_at, residue_field
+from .places import Place, residue_field
 
 INF = float("inf")
 
@@ -103,23 +110,33 @@ class LocalReductionData:
 def _leading(f: Poly, x: Place):
     """(v, r): the valuation of f at x and its leading digit, a raw value
     of residue_field(x); (INF, zero) for f = 0.  At a finite place r is
-    f/pi^v mod pi, the first nonzero remainder of f's division chain; at
-    a place pi = t - a that remainder is f(a), so a unit there (every twist
-    factor d = t - h(w) at every other rational place) takes no division.
-    At infinity v = -deg f (deg 0 = -inf) and r is f's top coefficient."""
+    f/pi^v mod pi.  At a place t - a that is the Taylor coefficient
+    f^(v)(a)/v!, read by synthetic division on plain ints: pass k divides,
+    in place, the quotient the passes before it left in cs[k:] by t - a
+    and leaves its remainder, the k-th Taylor coefficient, in cs[k], so a
+    unit takes one Horner pass and v(f) = v takes v + 1 shrinking ones.
+    At a place of higher degree r is the first nonzero remainder of the
+    division chain on raw coefficient lists.  At infinity v = -deg f
+    (deg 0 = -inf) and r is f's top coefficient."""
     if x.is_infinite:
         return -f.degree, f.coeffs[-1] if f else 0
+    p, cs = x.field.p, list(f.coeffs)
     if x.degree == 1:
-        r = f(-x.pi.coeffs[0])
+        a = -x.pi.coeffs[0] % p
+        for v in range(len(cs)):
+            acc = 0
+            for i in range(len(cs) - 1, v - 1, -1):
+                cs[i] = acc = (cs[i] + a * acc) % p
+            if acc:
+                return v, acc
+        return INF, 0
+    pi, v = x.pi.coeffs, 0
+    while cs:
+        cs, r = _poly_divmod(p, cs, pi)
         if r:
-            return 0, r
-    v = 0
-    while f:
-        f, r = divmod(f, x.pi)
-        if r:
-            return v, reduce_at(r, x)
+            return v, tuple(r) + (0,) * (x.degree - len(r))
         v += 1
-    return INF, reduce_at(f, x)
+    return INF, (0,) * x.degree
 
 
 def _classify(a, b, d):
@@ -263,8 +280,21 @@ def local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionData:
 def _digits(curve: WeierstrassCurve, x: Place):
     """The (v, r) pairs of A, B and Delta at x, read off the curve's own
     polynomials (a twist's are its base's times d^k, multiplied out at
-    first read)."""
-    return [_leading(f, x) for f in (curve.A, curve.B, curve.delta)]
+    first read).  As Delta = -64 A^3 - 432 B^2, Delta's pair is
+    (3 v(A), -64 r_A^3) when 3 v(A) < 2 v(B) and (2 v(B), -432 r_B^2) when
+    3 v(A) > 2 v(B), A = 0 and B = 0 included (v = INF); only where the two
+    terms tie, at multiplicative, I0, I0* and I_n* places, can they cancel,
+    and there Delta's own chain is walked."""
+    lead_A, lead_B = _leading(curve.A, x), _leading(curve.B, x)
+    (vA, rA), (vB, rB) = lead_A, lead_B
+    if 3 * vA == 2 * vB:
+        return [lead_A, lead_B, _leading(curve.delta, x)]
+    K = residue_field(x)
+    if 3 * vA < 2 * vB:
+        lead_delta = 3 * vA, K.mul(K.coerce(-64), K.mul(rA, K.mul(rA, rA)))
+    else:
+        lead_delta = 2 * vB, K.mul(K.coerce(-432), K.mul(rB, rB))
+    return [lead_A, lead_B, lead_delta]
 
 
 def local_root_factor(data: LocalReductionData) -> int:

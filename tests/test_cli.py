@@ -33,6 +33,18 @@ def intro_curve_file(tmp_path, p=5, m=2):
     return str(path)
 
 
+def tables_fail_above(d_max):
+    """A field_tables that runs out of memory beyond degree d_max, before
+    allocating anything."""
+    def tables(p, d):
+        if d > d_max:
+            raise MemoryError
+        return build(p, d)
+
+    build = fastcount.field_tables
+    return tables
+
+
 class TestReduce:
     def test_intro_at_one_is_III_star(self, runner, tmp_path):
         res = runner.invoke(main, ["reduce", intro_curve_file(tmp_path),
@@ -76,6 +88,14 @@ class TestReduce:
         assert "2^53" in res.output and "Traceback" not in res.output
         assert set(fastcount._TABLE_CACHE) == before
 
+    def test_out_of_memory_exits_2(self, runner, tmp_path, monkeypatch):
+        # a good place of degree 2, whose tables run out of memory
+        monkeypatch.setattr(fastcount, "field_tables", tables_fail_above(1))
+        res = runner.invoke(main, ["reduce", intro_curve_file(tmp_path),
+                                   "--place", "2,0,1"])
+        assert res.exit_code == 2 and not res.stdout
+        assert "p = 5, degree 2, q = 25" in res.stderr
+
     def test_bad_place_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["reduce", intro_curve_file(tmp_path),
                                    "--place", "zzz"])
@@ -114,6 +134,14 @@ class TestLFunction:
         assert res.exit_code == 2
         assert "m = 7: q = 11^7 = 19487171" in res.stderr
         assert "p (P - 1)^2 < 2^53" in res.stderr and not res.stdout
+
+    def test_out_of_memory_exits_2(self, runner, tmp_path, monkeypatch):
+        # exit 1 would read as a failed check
+        monkeypatch.setattr(fastcount, "field_tables", tables_fail_above(2))
+        res = runner.invoke(main, ["lfunction", "--check-fe",
+                                   intro_curve_file(tmp_path, 7, 3)])
+        assert res.exit_code == 2 and not res.stdout
+        assert "p = 7, degree 3, q = 343" in res.stderr
 
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "L.json"

@@ -8,10 +8,12 @@ from click.testing import CliRunner
 
 from ffell.algebra import Poly, PrimeField, is_prime
 from ffell.cli import main
+from ffell.curves import WeierstrassCurve
 from ffell.families import (FAMILIES, FAMILY_DECLARATIONS, analyze_cell,
                             load_family_file, parse_families, verify_profile)
 from ffell.lfunction import global_invariants
 from oracles import rebuilt, reference_base_coeffs
+from test_acceptance import PROFILE_GRIDS
 
 ALL_IDS = {"intro_N5", "odd_1mod8", "odd_3mod8", "odd_5mod8", "odd_7mod8",
            "even_0mod8", "even_2mod8", "even_4mod8", "even_6mod8",
@@ -256,6 +258,28 @@ class TestVerifyProfile:
         rep = verify_profile(fam, 0, [5, 7], max_w=2)
         assert rep.verdict and len(rep.cells) == 4
         assert built == [5, 7]
+
+    def test_isotriviality_computed_once_per_base(self, monkeypatch):
+        # the validity pass leaves its answer in the base's memo, where
+        # every twist reads it: over the acceptance grids, cold, one
+        # divmod(A^3, Delta) per base model
+        computed = []
+
+        def counting(E):
+            if E.twist_of is None:
+                computed.append(E)
+            return check(E)
+
+        check = WeierstrassCurve.is_isotrivial
+        monkeypatch.setattr(WeierstrassCurve, "is_isotrivial", counting)
+        bases = cells = 0
+        for (fid, n), primes in PROFILE_GRIDS.items():
+            fam = dataclasses.replace(FAMILIES[fid])        # empty memo
+            cells += len(verify_profile(fam, n, primes).cells)
+            bases += sum(rec is not None for rec in fam._memo.values())
+        assert cells == 307
+        assert len(computed) == bases == 44
+        assert len(set(map(id, computed))) == 44
 
     def test_valid_ells_filtered_once(self, monkeypatch):
         # case1_2ns declares 2 a nonsquare mod ell, so 7 is not valid; the

@@ -16,7 +16,7 @@ from ffell.reduction import (INF, _classify, _cubic_roots, _digits,
                              _leading, local_reduce, local_root_factor)
 
 from oracles import _div, rebuilt, reference_local_reduce
-from test_acceptance import PROFILE_GRIDS
+from test_acceptance import CORPUS_SPECS, PROFILE_GRIDS
 
 
 def intro_base(p):
@@ -69,19 +69,24 @@ class TestExactDivision:
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_leading_digit_against_division(self, p):
-        # _leading reads a unit at a rational place t - a as f(a) and walks
-        # the division chain otherwise: both against f / pi^v mod pi
+        # _leading reads Taylor coefficients by synthetic division at a
+        # rational place t - a and walks the division chain at degree 2:
+        # both against f / pi^v mod pi, for valuations up to p + 1, where
+        # v! = 0 mod p, and for f = 0
         F = PrimeField(p)
         rng = random.Random(100 + p)
         places = [Place.rational(F, a) for a in range(p)]
         places += [random_place(F, rng, 2) for _ in range(3)]
+        for x in places:
+            assert _leading(Poly(F, []), x) == (INF, reduce_at(Poly(F, []), x))
         for _ in range(30):
             g = random_poly(F, rng, rng.randrange(-1, 4))
             for x in places:
-                f = x.pi ** rng.randrange(3) * g
-                v = INF if not f else f.valuation(x.pi)
-                ref = reduce_at(f if v == INF else _div(f, x.pi, v), x)
-                assert _leading(f, x) == (v, ref), (f, x)
+                for k in (rng.randrange(3), p, p + 1):
+                    f = x.pi ** k * g
+                    v = INF if not f else f.valuation(x.pi)
+                    ref = reduce_at(f if v == INF else _div(f, x.pi, v), x)
+                    assert _leading(f, x) == (v, ref), (f, x)
 
     def test_cancellation_before_reduction(self):
         F = PrimeField(5)
@@ -455,6 +460,50 @@ class TestClosedFormsAgainstReference:
                 "II*"} <= symbols
 
 
+class TestDeltaDigit:
+    """_digits reads Delta = -64 A^3 - 432 B^2's pair off A's and B's
+    where 3 v(A) != 2 v(B), and walks Delta's own chain only where they
+    tie."""
+
+    @staticmethod
+    def check(E, places, branches):
+        for x in places:
+            fresh = [_leading(f, x) for f in (E.A, E.B, E.delta)]
+            assert _digits(E, x) == fresh, (E, x)
+            (vA, _), (vB, _), _ = fresh
+            branches.add((3 * vA > 2 * vB) - (3 * vA < 2 * vB))
+
+    def test_corpus(self):
+        branches = set()
+        for fid, n in CORPUS_SPECS:
+            fam = FAMILIES[fid]
+            for p in (5, 7, 11, 13):
+                if fam.valid_prime(p, n):
+                    for w in fam.W_set(p, n):
+                        E = rebuilt(fam.instantiate(p, n, w))
+                        self.check(E, lfunction.bad_places(E), branches)
+        assert branches == {-1, 0, 1}
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_random_curves(self, p):
+        # bad places of degree 1 up to 12, A = 0 and B = 0 among them
+        F = PrimeField(p)
+        rng = random.Random(200 + p)
+        branches, zeros = set(), set()
+        for i in range(60):
+            coeffs = [random_poly(F, rng, rng.randrange(-1, 2 * k + 1))
+                      for k in (1, 2, 3)]
+            if i % 10 == 0:             # a2 = 0 and a4 or a6 = 0
+                coeffs[0] = coeffs[1 + i % 20 // 10] = Poly(F, [])
+            try:
+                E = WeierstrassCurve(*coeffs)
+            except ValueError:          # zero discriminant
+                continue
+            self.check(E, bad_places(E), branches)
+            zeros |= {"A"} if not E.A else {"B"} if not E.B else set()
+        assert branches == {-1, 0, 1} and zeros == {"A", "B"}
+
+
 def check_inherited(E):
     """A twist's bad places, digits and isotriviality, read off its base,
     against a fresh computation on its own A, B and Delta, at its bad places
@@ -571,6 +620,32 @@ class TestTwistInheritance:
         assert x1[-1] is x2[-1] and x1[-1].is_infinite
         assert E._memo["places"] == bad_places(E)
         assert x1 == bad_places(E1) and x2 == bad_places(E2)
+
+
+    def test_twist_places_built_once_per_base(self, monkeypatch):
+        # d = t - 2 and d = 3 (t - 2) (t - 3) share the place t - 2, which
+        # the base lacks; it is built at the first twist only
+        F = PrimeField(7)
+        t = Poly.t(F)
+        E = intro_base(7)
+        built = []
+
+        def counting(field, pi):
+            built.append(pi)
+            return make(field, pi)
+
+        make = Place.finite
+        monkeypatch.setattr(Place, "finite", staticmethod(counting))
+        x1 = lfunction.bad_places(E.twist_by(t - 2))
+        assert built == [pi for pi, _ in factor(E.delta)[1]] + [t - 2]
+        built.clear()
+        E2 = E.twist_by(3 * (t - 2) * (t - 3))
+        x2 = lfunction.bad_places(E2)
+        assert built == [t - 3]
+        shared = [x for x in x1 + x2 if x.pi == t - 2]
+        assert len(shared) == 2 and shared[0] is shared[1]
+        monkeypatch.undo()
+        assert x2 == bad_places(E2)
 
 
 def assert_as_rebuilt(E):
