@@ -500,7 +500,7 @@ class TestDeltaDigit:
             except ValueError:          # zero discriminant
                 continue
             self.check(E, bad_places(E), branches)
-            zeros |= {"A"} if not E.A else {"B"} if not E.B else set()
+            zeros |= {k for k in "AB" if not getattr(E, k)}
         assert branches == {-1, 0, 1} and zeros == {"A", "B"}
 
 
@@ -620,7 +620,6 @@ class TestTwistInheritance:
         assert x1[-1] is x2[-1] and x1[-1].is_infinite
         assert E._memo["places"] == bad_places(E)
         assert x1 == bad_places(E1) and x2 == bad_places(E2)
-
 
     def test_twist_places_built_once_per_base(self, monkeypatch):
         # d = t - 2 and d = 3 (t - 2) (t - 3) share the place t - 2, which
