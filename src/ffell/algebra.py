@@ -8,6 +8,14 @@ legendre_raw, ...) on these raw values are the one way to compute in a field.
 
 Polynomials are over F_p only: ascending lists of ints with the reduction
 mod p inline, no field object per coefficient.
+
+factor runs three steps on such lists (von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 14) and builds a Poly only for each factor it
+returns: the squarefree decomposition (gcds with the derivative, and p-th
+roots for the multiplicities divisible by p), the distinct-degree
+factorization (gcds with t^(p^d) - t), and the equal-degree split (Cantor
+& Zassenhaus, Math. Comp. 36, 1981).  The first distinct-degree pair is
+also the irreducibility test.
 """
 
 from __future__ import annotations
@@ -175,10 +183,12 @@ def _poly_gcd(p, a, b):
     a, b = list(a), list(b)
     while b:
         a, b = b, _poly_mod(p, a, b)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
+    return _poly_monic(p, a)
+
+
+def _poly_monic(p, a):
+    inv = pow(a[-1], p - 2, p) if a else 0
+    return [c * inv % p for c in a]
 
 
 def _poly_powmod(p, a, e, m):
@@ -404,16 +414,7 @@ class Poly:
         return self.coeffs[-1]
 
     def monic(self) -> "Poly":
-        if not self.coeffs:
-            return self
-        p = self.field.p
-        inv = pow(self.coeffs[-1], p - 2, p)
-        return Poly._raw(self.field, [c * inv % p for c in self.coeffs])
-
-    def derivative(self) -> "Poly":
-        p = self.field.p
-        return Poly._raw(self.field, [i * c % p for i, c in
-                                      enumerate(self.coeffs) if i])
+        return Poly._raw(self.field, _poly_monic(self.field.p, self.coeffs))
 
     def __call__(self, x: int) -> int:
         """The value at x in F_p."""
@@ -428,7 +429,10 @@ class Poly:
         return Poly._raw(self.field, _poly_gcd(self.field.p, self.coeffs, o.coeffs))
 
     def valuation(self, pi: "Poly") -> int:
-        """Multiplicity of the irreducible pi in self (self nonzero)."""
+        """Multiplicity of the irreducible pi in self (self nonzero), by
+        repeated division.  Nothing in ffell calls it (reduction._leading
+        reads valuations without a division chain); it stays as Poly API for
+        the test oracles that check _leading against it."""
         if not self.coeffs:
             raise ValueError("valuation of the zero polynomial")
         v = 0
@@ -451,8 +455,9 @@ def is_irreducible(f: Poly) -> bool:
     """f irreducible over F_p: its distinct-degree factorization finds no
     irreducible factor of degree below deg f.  Linear f, most places, skip
     the factorization."""
-    d = f.degree
-    return d == 1 or d > 1 and next(_distinct_degree(f.monic()))[1] == d
+    d, p = f.degree, f.field.p
+    return d == 1 or d > 1 and next(
+        _distinct_degree(p, _poly_monic(p, f.coeffs)))[1] == d
 
 
 def _prime_factors(n: int):
@@ -468,113 +473,97 @@ def _prime_factors(n: int):
     return out
 
 
-def _frobenius_root(f: Poly) -> Poly:
-    """For f of the form h(t^p), return h (over F_p, c^(1/p) = c)."""
-    return Poly._raw(f.field, f.coeffs[::f.field.p])
+def _squarefree_decomposition(p, f):
+    """f monic -> [(g, m)] with f = prod g^m, each g monic squarefree of
+    degree >= 1.  Gcds with f' split off the multiplicities prime to p; what
+    is left, and an f with f' = 0, is h(t^p) = h^p, so the loop goes on with
+    h = f[::p] (c^(1/p) = c in F_p) and multiplicities times p."""
+    out = []
+    outer = 1
+    while len(f) > 1:
+        df = _strip([i * f[i] % p for i in range(1, len(f))])
+        if df:
+            c = _poly_gcd(p, f, df)
+            # w: the factors of multiplicity prime to p; fac: those of
+            # multiplicity exactly i
+            w = _poly_divmod(p, f, c)[0]
+            i = 1
+            while len(w) > 1:
+                y = _poly_gcd(p, w, c)
+                fac = _poly_divmod(p, w, y)[0]
+                if len(fac) > 1:
+                    out.append((fac, outer * i))
+                c = _poly_divmod(p, c, y)[0]
+                w = y
+                i += 1
+            f = c
+        f = f[::p]
+        outer *= p
+    return out
 
 
-def _squarefree_decomposition(f: Poly):
-    """Yield (g, m) with f (monic) = prod g^m over the yielded pairs,
-    each g squarefree; standard char-p algorithm."""
-    p = f.field.p
-
-    def rec(g: Poly, outer: int):
-        if g.degree == 0:
-            return
-        dg = g.derivative()
-        if not dg:
-            rec(_frobenius_root(g), outer * p)
-            return
-        c = g.gcd(dg)
-        w = g // c  # product of factors with multiplicity prime to p
-        i = 1
-        while w.degree > 0:
-            y = w.gcd(c)
-            fac = w // y  # factors of multiplicity exactly i
-            if fac.degree > 0:
-                yield_list.append((fac.monic(), outer * i))
-            c = c // y
-            w = y
-            i += 1
-        if c.degree > 0:  # multiplicities divisible by p; c is a p-th power
-            rec(_frobenius_root(c), outer * p)
-
-    yield_list: list = []
-    rec(f.monic(), 1)
-    yield from yield_list
-
-
-def _distinct_degree(f: Poly):
+def _distinct_degree(p, f):
     """f monic squarefree -> yield (product of its irreducibles of degree d, d).
 
     The first pair needs no squarefree f: its d is the least degree of an
     irreducible factor of f, and it is deg f exactly when f is irreducible.
     """
-    F = f.field
-    p = F.p
     t = [0, 1]
     h = t
     d = 0
-    rest = f
-    while rest.degree >= 1:
+    while len(f) > 1:
         d += 1
-        if 2 * d > rest.degree:
-            yield rest, rest.degree
+        if 2 * d > len(f) - 1:
+            yield f, len(f) - 1
             return
-        h = _poly_powmod(p, h, p, rest.coeffs)  # h = t^(p^d) mod rest
-        g = Poly._raw(F, _poly_gcd(p, _poly_sub(p, h, t), rest.coeffs))
-        if g.degree >= 1:
+        h = _poly_powmod(p, h, p, f)  # h = t^(p^d) mod f
+        g = _poly_gcd(p, _poly_sub(p, h, t), f)
+        if len(g) > 1:
             yield g, d
-            rest = rest // g
-            h = _poly_mod(p, h, rest.coeffs)
+            f = _poly_divmod(p, f, g)[0]
+            h = _poly_mod(p, h, f)
 
 
-def _equal_degree_split(f: Poly, d: int, rng: random.Random):
+def _equal_degree_split(p, f, d: int, rng: random.Random):
     """Cantor-Zassenhaus: f monic squarefree, all factors of degree d."""
-    F = f.field
-    p = F.p
-    n = f.degree
+    n = len(f) - 1
     if n == d:
         return [f]
     while True:
-        a = Poly._raw(F, [rng.randrange(p) for _ in range(n)])
-        if a.degree < 1:
+        a = _strip([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
             continue
-        g = f.gcd(a)
-        if 0 < g.degree < n:
-            pieces = [g, f // g]
+        g = _poly_gcd(p, f, a)
+        if 0 < len(g) - 1 < n:
             break
-        b = Poly._raw(F, _poly_powmod(p, a.coeffs, (p ** d - 1) // 2, f.coeffs))
-        g = f.gcd(b - 1)
-        if 0 < g.degree < n:
-            pieces = [g, f // g]
+        b = _poly_powmod(p, a, (p ** d - 1) // 2, f)
+        g = _poly_gcd(p, f, _poly_sub(p, b, [1]))
+        if 0 < len(g) - 1 < n:
             break
-    out = []
-    for piece in pieces:
-        out.extend(_equal_degree_split(piece.monic(), d, rng))
-    return out
+    return [irr for piece in (g, _poly_divmod(p, f, g)[0])
+            for irr in _equal_degree_split(p, piece, d, rng)]
 
 
 def factor(f: Poly):
     """Factor a nonzero polynomial.
 
     Returns (leading coefficient, list of (monic irreducible, multiplicity))
-    sorted for determinism.  Randomness in the equal-degree step is seeded
-    by f.  A polynomial of degree <= 1 is its own factorization.
+    sorted by degree, then coefficients.  Randomness in the equal-degree
+    step is seeded by f.  A polynomial of degree <= 1 is its own
+    factorization.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     lead = f.lead()
     if f.degree <= 1:
         return lead, [(f.monic(), 1)] if f.degree == 1 else []
-    out = []
-    rng = random.Random(hash((f.field.p, f.coeffs)))
-    for g, mult in _squarefree_decomposition(f):
-        for h, d in _distinct_degree(g.monic()):
-            for irr in _equal_degree_split(h.monic(), d, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return lead, out
+    F, p = f.field, f.field.p
+    rng = random.Random(hash((p, f.coeffs)))
+    out = sorted((len(irr), irr, mult) for g, mult in
+                 _squarefree_decomposition(p, _poly_monic(p, f.coeffs))
+                 for h, d in _distinct_degree(p, g)
+                 for irr in _equal_degree_split(p, h, d, rng))
+    return lead, [(Poly._raw(F, irr), mult) for _, irr, mult in out]
 
 
 def monic_irreducibles(F: PrimeField, d: int):
@@ -583,9 +572,9 @@ def monic_irreducibles(F: PrimeField, d: int):
     n = c_0 + c_1 p + ... + c_(d-1) p^(d-1))."""
     p = F.p
     for n in range(p ** d):
-        f = Poly._raw(F, [n // p ** i % p for i in range(d)] + [1])
-        if is_irreducible(f):
-            yield f
+        f = [n // p ** i % p for i in range(d)] + [1]
+        if next(_distinct_degree(p, f))[1] == d:
+            yield Poly._raw(F, f)
 
 
 def build_extension(p: int, d: int) -> PrimeField | ExtField:

@@ -2,8 +2,10 @@
 verification, and the excluded-order certification sweep.
 
 Exit codes: 0 = all checks pass, 1 = a mathematical check failed,
-2 = usage or parse error (an --ell that is not a prime >= 5, a lemma92
---ell-max below 5), a field beyond the character-sum tables or one whose
+2 = usage or parse error (an --ell that is not a prime >= 5, a prime
+repeated in the --primes or --ell of verify-family or lemma92, a lemma92
+--ell-max below 5, a curve-file key other than p, a2, a4, a6 or one given
+twice), a field beyond the character-sum tables or one whose
 tables ran out of memory in `reduce` or `lfunction` (the message names p,
 the degree and q), or a verify-family grid with every prime skipped
 (nothing verified).  All commands are deterministic; JSON is the
@@ -37,9 +39,14 @@ def _parse_int_list(text):
                                f"got {text!r}")
 
 
+CURVE_KEYS = ("p", "a2", "a4", "a6")
+
+
 def load_curve_file(path):
-    """Parse a curve file: line 1 'p=<prime>', then a2=/a4=/a6= as dense
-    ascending integer coefficient lists like [0, -3, 0, 1]."""
+    """Parse a curve file: the keys p (a prime >= 5), a2, a4 and a6, each
+    once and in any order, the a_i as dense ascending integer coefficient
+    lists like [0, -3, 0, 1].  Any other key is an error: an a1 or a3 line
+    would otherwise be dropped and the file read as a different curve."""
     kv = {}
     try:
         with open(path) as fh:
@@ -52,8 +59,14 @@ def load_curve_file(path):
         key, sep, val = ln.partition("=")
         if not sep:
             raise click.UsageError(f"bad line in curve file: {ln!r}")
-        kv[key.strip()] = val.strip()
-    for req in ("p", "a2", "a4", "a6"):
+        key = key.strip()
+        if key not in CURVE_KEYS:
+            raise click.UsageError(f"unknown key {key!r} in curve file "
+                                   f"(expected {', '.join(CURVE_KEYS)})")
+        if key in kv:
+            raise click.UsageError(f"duplicate key {key!r} in curve file")
+        kv[key] = val.strip()
+    for req in CURVE_KEYS:
         if req not in kv:
             raise click.UsageError(f"curve file missing key {req!r}")
     try:
@@ -263,9 +276,11 @@ def lemma92(ell_max, ells, out):
     exponents = {16, 20, 24, 28, 36}
     targets = (_parse_int_list(ells) if ells
                else [q for q in range(5, ell_max + 1) if is_prime(q)])
-    for q in targets:
+    for i, q in enumerate(targets):
         if not is_prime(q) or q < 5:
             raise click.UsageError(f"ell={q} is not a prime >= 5")
+        if q in targets[:i]:
+            raise click.UsageError(f"ell={q} is repeated")
     witnesses = [(name, p, E, global_invariants(E)) for name, p, E
                  in _witnesses()]
     cache = {}

@@ -768,10 +768,10 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
                    max_w: int | None = None, jobs: int = 1) -> CriterionReport:
     """Run the full per-cell comparison over the (p, w) grid.
 
-    Failures are recorded in the report, never raised; a max_w below 1 or
-    an ell that is not a prime >= 5 raises ValueError.  Primes that hit the
-    family's excluded set or a mod-p degeneracy are listed as skipped.  With
-    jobs > 1 the cells are analyzed by a process pool, each prime's ws split
+    Failures are recorded in the report, never raised; a max_w below 1, an
+    ell that is not a prime >= 5 or a repeated p or ell raises ValueError.
+    Primes that hit the family's excluded set or a mod-p degeneracy are
+    listed as skipped.  With jobs > 1 the cells are analyzed by a process pool, each prime's ws split
     into up to `jobs` runs of consecutive ws, one task each (so one prime
     still fills the pool), and merged back in grid order, so reports are
     identical to a serial run."""
@@ -779,9 +779,14 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
         fam = FAMILIES[fam]
     if max_w is not None and max_w < 1:
         raise ValueError(f"max_w must be at least 1, got {max_w}")
+    primes, ells = list(primes), list(ells)
     for ell in ells:
         if not is_prime(ell) or ell < 5:
             raise ValueError(f"ell={ell} is not a prime >= 5")
+    for name, values in (("p", primes), ("ell", ells)):
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{name}={v} is repeated")
     rep = CriterionReport(family=fam.fid, n=n, condition=fam.condition)
     if fam.waive_hypotheses:
         rep.waivers = ["I0* at only one affine closed point", "6B > N"]

@@ -1,11 +1,10 @@
-"""Closed points of P^1 over F_q, their residue fields, and residues of
-polynomials.
+"""Closed points of P^1 over F_q and their residue fields.
 
 A finite place is a monic irreducible polynomial pi over F_q; the place at
 infinity has uniformizer 1/t and residue field F_q.  Residue fields are
 realized as F_q[t]/(pi), i.e. an ExtField with modulus pi (or F_q itself in
-degree 1), so the residue of a polynomial f is f mod pi read in that field.
-Reduction at infinity reads top coefficients instead (reduction.local_reduce).
+degree 1), so the residue of a polynomial f is f mod pi read in that field
+(reduction._leading); at infinity it reads top coefficients instead.
 """
 
 from __future__ import annotations
@@ -78,15 +77,6 @@ def residue_field(x: Place):
     if x.is_infinite or x.degree == 1:
         return x.field
     return ExtField(x.field, list(x.pi.coeffs))
-
-
-def reduce_at(f: Poly, x: Place):
-    """Image of the polynomial f in the residue field of x, as a raw value of
-    residue_field(x): f mod pi, read in F_q[t]/(pi) (the image of t is the
-    generator); f itself when deg f < deg x."""
-    r = f.coeffs if f.degree < x.degree else (f % x.pi).coeffs
-    r += (0,) * (x.degree - len(r))
-    return r[0] if x.degree == 1 else r
 
 
 def count_places(q: int, d: int) -> int:

@@ -3,9 +3,9 @@ point counts and Horner evaluation on the raw-value methods of the field
 objects, the orbit-walking search for place representatives and the
 per-place log-domain character sum (for the vectorised kernel and the
 whole-field tables in ffell.fastcount), and Tate's I_n* subprocedure, the
-tangent-slope split test, the rebuilt model at infinity and exact division
-by powers of pi (for the closed forms and the leading pi-adic digits in
-ffell.reduction), a twist rebuilt as a curve with no base (for
+tangent-slope split test, the rebuilt model at infinity, exact division
+by powers of pi and residues as f mod pi (for the closed forms and the
+leading pi-adic digits in ffell.reduction), a twist rebuilt as a curve with no base (for
 everything a twist reads off its base), and a family's base model
 multiplied out over Q (for the one ffell.families builds mod p)."""
 
@@ -17,7 +17,7 @@ import numpy as np
 from ffell.algebra import Poly
 from ffell.curves import WeierstrassCurve
 from ffell.fastcount import place_trace
-from ffell.places import Place, reduce_at, residue_field
+from ffell.places import Place, residue_field
 from ffell.reduction import (LocalReductionData, _classify, _cubic_roots,
                              local_reduce)
 
@@ -145,6 +145,15 @@ def curve_at_infinity(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, int]:
 
     return WeierstrassCurve(rev(curve.a2, 2 * k), rev(curve.a4, 4 * k),
                             rev(curve.a6, 6 * k)), k
+
+
+def reduce_at(f: Poly, x: Place):
+    """Image of the polynomial f in the residue field of x, as a raw value of
+    residue_field(x): f mod pi, read in F_q[t]/(pi) (the image of t is the
+    generator); f itself when deg f < deg x."""
+    r = f.coeffs if f.degree < x.degree else (f % x.pi).coeffs
+    r += (0,) * (x.degree - len(r))
+    return r[0] if x.degree == 1 else r
 
 
 def _val(p: Poly, pi: Poly):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -152,6 +154,69 @@ class TestFactor:
                 K = build_extension(5, e)
                 for x in K.elements():
                     assert not K.is_zero(horner(K, irr, x))
+
+
+def factor_pin_cases():
+    """The seeded polynomials of the factoring pin, per p in {5, 7, 11, 13}:
+    a random polynomial times a random monic g^m for each multiplicity m in
+    1, 2, p, p + 1, 2p, p^2, p^2 + 1; products of random polynomials of
+    degree up to 30; factors of the form g(t^p) times random polynomials and
+    a p-th power; and (t^p + 1)(t + 2)^(p^2), whose squarefree step takes
+    the p-th root twice."""
+    for p in (5, 7, 11, 13):
+        F = PrimeField(p)
+        rng = random.Random(p)
+        t = Poly.t(F)
+
+        def rand(deg, monic=False):
+            lead = 1 if monic else rng.randrange(1, p)
+            return Poly(F, [rng.randrange(p) for _ in range(deg)] + [lead])
+
+        for m in (1, 2, p, p + 1, 2 * p, p * p, p * p + 1):
+            for _ in range(2):
+                yield rand(rng.randrange(7)) * rand(rng.randrange(1, 4),
+                                                    monic=True) ** m
+        for _ in range(4):
+            yield rand(rng.randrange(10, 31)) * rand(rng.randrange(1, 9))
+        for _ in range(4):
+            h = rand(rng.randrange(1, 4), monic=True)
+            g_tp = Poly(F, [0 if i % p else h.coeffs[i // p]
+                            for i in range(p * h.degree + 1)])
+            yield (g_tp * rand(rng.randrange(6))
+                   * rand(rng.randrange(1, 3), monic=True) ** p)
+        yield (t ** p + 1) * (t + 2) ** (p * p)
+
+
+# sha256 over json.dumps of [p, coeffs, lead, [[factor coeffs, mult], ...],
+# is_irreducible] for each of factor_pin_cases(), then of [p, d, [coeffs of
+# each monic irreducible]] for FACTOR_PIN_IRREDUCIBLES.  Computed at commit
+# 039826f, where the squarefree step and the equal-degree split worked on
+# Poly objects
+FACTOR_PIN_IRREDUCIBLES = ((5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2),
+                           (7, 3), (11, 1), (11, 2), (13, 1), (13, 2))
+FACTOR_SHA256 = (
+    "5682093430b99746b1f289f8a304f51cfc6331fba352ea8185e681601ef31df6")
+
+
+class TestFactorPin:
+    def test_factor_and_irreducibles_pinned(self):
+        h = hashlib.sha256()
+        cases = 0
+        for f in factor_pin_cases():
+            lead, facs = factor(f)
+            g = Poly(f.field, [lead])
+            for irr, m in facs:
+                g = g * irr ** m
+            assert g == f
+            h.update(json.dumps([f.field.p, f.coeffs, lead,
+                                 [[irr.coeffs, m] for irr, m in facs],
+                                 is_irreducible(f)]).encode())
+            cases += 1
+        for p, d in FACTOR_PIN_IRREDUCIBLES:
+            irrs = [g.coeffs for g in monic_irreducibles(PrimeField(p), d)]
+            h.update(json.dumps([p, d, irrs]).encode())
+        assert cases == 4 * (14 + 4 + 4 + 1)
+        assert h.hexdigest() == FACTOR_SHA256
 
 
 class TestExtension:

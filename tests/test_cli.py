@@ -72,6 +72,33 @@ class TestReduce:
         res = runner.invoke(main, ["reduce", str(bad), "--place", "1"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("extra,message", [
+        ("a1=[1]", "unknown key 'a1'"),
+        ("a3 = []", "unknown key 'a3'"),
+        ("p=7", "duplicate key 'p'"),
+        ("a4=[1]", "duplicate key 'a4'")])
+    def test_unknown_or_repeated_key_exits_2(self, runner, tmp_path, extra,
+                                             message):
+        # an ignored a1 line, or a second p overriding the first, would
+        # reduce a different curve and exit 0
+        path = intro_curve_file(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(extra + "\n")
+        res = runner.invoke(main, ["reduce", path, "--place", "1"])
+        assert res.exit_code == 2
+        assert message in res.stderr
+        assert res.stdout == ""
+
+    def test_keys_in_any_order_with_comments(self, runner, tmp_path):
+        path = intro_curve_file(tmp_path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("# the intro curve\n" + "\n".join(lines[::-1]) + "\n")
+        res = runner.invoke(main, ["reduce", path, "--place", "1"])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["kodaira"] == "III*"
+
     def test_missing_file_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["reduce", str(tmp_path / "none.txt"),
                                    "--place", "1"])
@@ -247,6 +274,17 @@ class TestVerifyFamily:
         assert f"ell={ell} is not a prime >= 5" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--primes", "17,17", "p=17 is repeated"),
+        ("--ell", "5,7,5", "ell=5 is repeated")])
+    def test_repeated_prime_exits_2(self, runner, option, value, message):
+        args = ["verify-family", "odd_1mod8", "--n", "1", "--primes", "17",
+                "--max-w", "1", "--jobs", "1", option, value]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert message in res.stderr
+        assert res.stdout == ""
+
     def test_deterministic_json(self, runner):
         args = ["verify-family", "even_4mod8", "--n", "1", "--primes", "11",
                 "--max-w", "2", "--jobs", "1"]
@@ -279,6 +317,13 @@ class TestLemma92:
     def test_bad_ell_exits_2(self, runner):
         res = runner.invoke(main, ["lemma92", "--ell", "4"])
         assert res.exit_code == 2
+
+    def test_repeated_ell_exits_2(self, runner):
+        # it used to print ell = 5 twice
+        res = runner.invoke(main, ["lemma92", "--ell", "5,5"])
+        assert res.exit_code == 2
+        assert "ell=5 is repeated" in res.stderr
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("ell_max", ["3", "-1"])
     def test_ell_max_below_5_exits_2(self, runner, ell_max):

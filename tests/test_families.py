@@ -186,6 +186,15 @@ class TestVerifyProfile:
         with pytest.raises(ValueError, match="max_w"):
             verify_profile("intro_N5", 0, [13], max_w=max_w)
 
+    @pytest.mark.parametrize("primes,ells,match", [
+        ([17, 17], (5, 7), "p=17 is repeated"),
+        ([11, 17, 11], (5,), "p=11 is repeated"),
+        ([17], (5, 7, 5), "ell=5 is repeated")])
+    def test_repeated_prime_rejected(self, primes, ells, match):
+        # [17, 17] used to give each of the 11 (p, w) cells twice
+        with pytest.raises(ValueError, match=match):
+            verify_profile("odd_1mod8", 1, primes, ells=ells)
+
     def test_intro_passes_with_waivers(self):
         rep = verify_profile("intro_N5", 0, [5, 7], max_w=2)
         assert rep.verdict and rep.waivers

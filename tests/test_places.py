@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffell.algebra import Poly, PrimeField, factor
-from ffell.places import (Place, count_places, enumerate_places, reduce_at,
-                          residue_field)
-from oracles import horner
+from ffell.places import Place, count_places, enumerate_places, residue_field
+from oracles import horner, reduce_at
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)

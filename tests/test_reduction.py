@@ -11,11 +11,11 @@ from ffell.curves import WeierstrassCurve
 from ffell.families import FAMILIES
 from ffell import lfunction
 from ffell.lfunction import global_invariants
-from ffell.places import Place, enumerate_places, reduce_at, residue_field
+from ffell.places import Place, enumerate_places, residue_field
 from ffell.reduction import (INF, _classify, _cubic_roots, _digits,
                              _leading, local_reduce, local_root_factor)
 
-from oracles import _div, rebuilt, reference_local_reduce
+from oracles import _div, rebuilt, reduce_at, reference_local_reduce
 from test_acceptance import CORPUS_SPECS, PROFILE_GRIDS
 
 
