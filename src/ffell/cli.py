@@ -3,12 +3,11 @@ verification, and the excluded-order certification sweep.
 
 Exit codes: 0 = all checks pass, 1 = a mathematical check failed,
 2 = usage or parse error (an --ell that is not a prime >= 5, a prime
-repeated in the --primes or --ell of verify-family or lemma92, a lemma92
---ell-max below 5, a curve-file key other than p, a2, a4, a6 or one given
-twice), a field beyond the character-sum tables or one whose
-tables ran out of memory in `reduce` or `lfunction` (the message names p,
-the degree and q), or a verify-family grid with every prime skipped
-(nothing verified).  All commands are deterministic; JSON is the
+repeated in an --ell or --primes list, a lemma92 --ell-max below 5, a
+curve-file key other than p, a2, a4, a6 or one given twice), a field
+beyond the character-sum tables or one whose tables ran out of memory in
+`reduce` or `lfunction` (the message names p, the degree and q), or a
+verify-family grid with every prime skipped (nothing verified).  All commands are deterministic; JSON is the
 machine interface (written to --out when given, printed otherwise) and a
 short human-readable summary goes to the terminal alongside.
 """
@@ -37,6 +36,16 @@ def _parse_int_list(text):
     except ValueError:
         raise click.UsageError(f"expected a comma-separated integer list, "
                                f"got {text!r}")
+
+
+def _parse_ells(text):
+    """An --ell list of lfunction or lemma92; a repeated ell is a usage
+    error, as it would run and print the same checks twice."""
+    ells = _parse_int_list(text)
+    for i, ell in enumerate(ells):
+        if ell in ells[:i]:
+            raise click.UsageError(f"ell={ell} is repeated")
+    return ells
 
 
 CURVE_KEYS = ("p", "a2", "a4", "a6")
@@ -152,6 +161,7 @@ def reduce(curve_file, place, out):
 def lfunction_cmd(curve_file, check_fe, ells, out):
     """Global invariants and the exact L-polynomial of a curve."""
     E = load_curve_file(curve_file)
+    ell_list = _parse_ells(ells)
     try:
         inv = global_invariants(E)
         L = lfunction(E, inv)
@@ -171,7 +181,7 @@ def lfunction_cmd(curve_file, check_fe, ells, out):
                    err=True)
         failed = failed or not ok
     bsd = {}
-    for ell in _parse_int_list(ells):
+    for ell in ell_list:
         try:
             verdict = bsd_square_class_check(E, L, ell, inv)
         except ValueError as exc:
@@ -274,13 +284,11 @@ def lemma92(ell_max, ells, out):
     """Certify that no Frobenius companion matrix has order dividing any
     e in {16, 20, 24, 28, 36}, for each ell, using the two witness twists."""
     exponents = {16, 20, 24, 28, 36}
-    targets = (_parse_int_list(ells) if ells
+    targets = (_parse_ells(ells) if ells
                else [q for q in range(5, ell_max + 1) if is_prime(q)])
-    for i, q in enumerate(targets):
+    for q in targets:
         if not is_prime(q) or q < 5:
             raise click.UsageError(f"ell={q} is not a prime >= 5")
-        if q in targets[:i]:
-            raise click.UsageError(f"ell={q} is repeated")
     witnesses = [(name, p, E, global_invariants(E)) for name, p, E
                  in _witnesses()]
     cache = {}

@@ -771,10 +771,10 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
     Failures are recorded in the report, never raised; a max_w below 1, an
     ell that is not a prime >= 5 or a repeated p or ell raises ValueError.
     Primes that hit the family's excluded set or a mod-p degeneracy are
-    listed as skipped.  With jobs > 1 the cells are analyzed by a process pool, each prime's ws split
-    into up to `jobs` runs of consecutive ws, one task each (so one prime
-    still fills the pool), and merged back in grid order, so reports are
-    identical to a serial run."""
+    listed as skipped.  With jobs > 1 the cells are analyzed by a process
+    pool, each prime's ws split into up to `jobs` runs of consecutive ws,
+    one task each (so one prime still fills the pool), and merged back in
+    grid order, so reports are identical to a serial run."""
     if isinstance(fam, str):
         fam = FAMILIES[fam]
     if max_w is not None and max_w < 1:

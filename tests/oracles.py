@@ -5,9 +5,10 @@ per-place log-domain character sum (for the vectorised kernel and the
 whole-field tables in ffell.fastcount), and Tate's I_n* subprocedure, the
 tangent-slope split test, the rebuilt model at infinity, exact division
 by powers of pi and residues as f mod pi (for the closed forms and the
-leading pi-adic digits in ffell.reduction), a twist rebuilt as a curve with no base (for
-everything a twist reads off its base), and a family's base model
-multiplied out over Q (for the one ffell.families builds mod p)."""
+leading pi-adic digits in ffell.reduction), a twist rebuilt as a curve
+with no base (for everything a twist reads off its base), and a family's
+base model multiplied out over Q (for the one ffell.families builds mod
+p)."""
 
 import math
 from fractions import Fraction

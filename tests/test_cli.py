@@ -151,6 +151,14 @@ class TestLFunction:
                                    intro_curve_file(tmp_path)])
         assert res.exit_code == 2
 
+    def test_repeated_ell_exits_2(self, runner, tmp_path):
+        # accepted, it would run and print the check at ell = 11 twice
+        res = runner.invoke(main, ["lfunction", "--ell", "11,13,11",
+                                   intro_curve_file(tmp_path)])
+        assert res.exit_code == 2
+        assert "ell=11 is repeated" in res.stderr
+        assert res.stdout == ""
+
     def test_top_degree_beyond_tables_exits_2(self, runner, tmp_path):
         E = FAMILIES["even_4mod8"].instantiate(11, 1, 5)     # N = 12, m = 7
         path = tmp_path / "even_4mod8.txt"
@@ -319,7 +327,7 @@ class TestLemma92:
         assert res.exit_code == 2
 
     def test_repeated_ell_exits_2(self, runner):
-        # it used to print ell = 5 twice
+        # accepted, it would certify and print ell = 5 twice
         res = runner.invoke(main, ["lemma92", "--ell", "5,5"])
         assert res.exit_code == 2
         assert "ell=5 is repeated" in res.stderr

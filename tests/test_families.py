@@ -191,7 +191,8 @@ class TestVerifyProfile:
         ([11, 17, 11], (5,), "p=11 is repeated"),
         ([17], (5, 7, 5), "ell=5 is repeated")])
     def test_repeated_prime_rejected(self, primes, ells, match):
-        # [17, 17] used to give each of the 11 (p, w) cells twice
+        # accepted, [17, 17] would report each of the 11 (p, w) cells
+        # twice
         with pytest.raises(ValueError, match=match):
             verify_profile("odd_1mod8", 1, primes, ells=ells)
 
