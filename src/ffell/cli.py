@@ -4,10 +4,11 @@ verification, and the excluded-order certification sweep.
 Exit codes: 0 = all checks pass, 1 = a mathematical check failed,
 2 = usage or parse error (an --ell that is not a prime >= 5, a prime
 repeated in an --ell or --primes list, a lemma92 --ell-max below 5, a
-curve-file key other than p, a2, a4, a6 or one given twice), a field
-beyond the character-sum tables or one whose tables ran out of memory in
-`reduce` or `lfunction` (the message names p, the degree and q), or a
-verify-family grid with every prime skipped (nothing verified).  All commands are deterministic; JSON is the
+curve-file key other than p, a2, a4, a6 or one given twice, an --out
+that cannot be written), a field beyond the character-sum tables or one
+whose tables ran out of memory in `reduce` or `lfunction` (the message
+names p, the degree and q), or a verify-family grid with every prime
+skipped (nothing verified).  All commands are deterministic; JSON is the
 machine interface (written to --out when given, printed otherwise) and a
 short human-readable summary goes to the terminal alongside.
 """
@@ -22,30 +23,27 @@ import click
 
 from .algebra import Poly, PrimeField, is_prime
 from .curves import WeierstrassCurve
-from .lfunction import (bsd_square_class_check, check_functional_equation,
-                        frobenius_matrix_mod_ell, global_invariants,
-                        lfunction)
+from .lfunction import (bsd_square_class_check, check_ell,
+                        check_functional_equation, frobenius_matrix_mod_ell,
+                        global_invariants, lfunction)
 from .orthogonal import order_excludes
 from .places import Place
 from .reduction import local_reduce
 
 
-def _parse_int_list(text):
+def _parse_int_list(text, name):
+    """A comma-separated --ell or --primes list of integers named name; a
+    repeat is a usage error, as it would run and print the same checks
+    twice."""
     try:
-        return [int(x) for x in text.replace(" ", "").split(",") if x]
+        values = [int(x) for x in text.replace(" ", "").split(",") if x]
     except ValueError:
         raise click.UsageError(f"expected a comma-separated integer list, "
                                f"got {text!r}")
-
-
-def _parse_ells(text):
-    """An --ell list of lfunction or lemma92; a repeated ell is a usage
-    error, as it would run and print the same checks twice."""
-    ells = _parse_int_list(text)
-    for i, ell in enumerate(ells):
-        if ell in ells[:i]:
-            raise click.UsageError(f"ell={ell} is repeated")
-    return ells
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise click.UsageError(f"{name}={v} is repeated")
+    return values
 
 
 CURVE_KEYS = ("p", "a2", "a4", "a6")
@@ -119,8 +117,12 @@ def _parse_place(curve, spec):
 def _emit(payload, out):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --out {out}: "
+                                   f"{exc.strerror or exc}")
     else:
         click.echo(text)
 
@@ -161,9 +163,11 @@ def reduce(curve_file, place, out):
 def lfunction_cmd(curve_file, check_fe, ells, out):
     """Global invariants and the exact L-polynomial of a curve."""
     E = load_curve_file(curve_file)
-    ell_list = _parse_ells(ells)
+    ell_list = _parse_int_list(ells, "ell")
     try:
         inv = global_invariants(E)
+        for ell in ell_list:           # before L, the costly part
+            check_ell(ell, inv)
         L = lfunction(E, inv)
     except (ValueError, MemoryError) as exc:
         raise click.UsageError(str(exc))
@@ -182,10 +186,7 @@ def lfunction_cmd(curve_file, check_fe, ells, out):
         failed = failed or not ok
     bsd = {}
     for ell in ell_list:
-        try:
-            verdict = bsd_square_class_check(E, L, ell, inv)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        verdict = bsd_square_class_check(E, L, ell, inv)
         bsd[str(ell)] = verdict
         click.echo(f"BSD class mod {ell}: {verdict}", err=True)
         failed = failed or verdict == "fail"
@@ -227,8 +228,8 @@ def verify_family(family, n, primes, ells, max_w, jobs, out):
             f"unknown family {family!r} (known: {known})")
     if n is None:
         n = fam.nmin
-    prime_list = _parse_int_list(primes)
-    ell_list = _parse_int_list(ells)
+    prime_list = _parse_int_list(primes, "p")
+    ell_list = _parse_int_list(ells, "ell")
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     try:
         rep = verify_profile(fam, n, prime_list, ells=ell_list,
@@ -284,7 +285,7 @@ def lemma92(ell_max, ells, out):
     """Certify that no Frobenius companion matrix has order dividing any
     e in {16, 20, 24, 28, 36}, for each ell, using the two witness twists."""
     exponents = {16, 20, 24, 28, 36}
-    targets = (_parse_ells(ells) if ells
+    targets = (_parse_int_list(ells, "ell") if ells
                else [q for q in range(5, ell_max + 1) if is_prime(q)])
     for q in targets:
         if not is_prime(q) or q < 5:

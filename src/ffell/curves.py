@@ -48,10 +48,6 @@ class WeierstrassCurve:
         F = PrimeField(p)
         return cls(Poly(F, a2), Poly(F, a4), Poly(F, a6))
 
-    def short_coefficients(self):
-        """(A, B) = (-c4/48, -c6/864): the model as y^2 = x^3 + A x + B."""
-        return self.A, self.B
-
     @property
     def c4(self) -> Poly:
         return -48 * self.A

@@ -123,9 +123,6 @@ class Family:
         if n < self.nmin or (self.nmax is not None and n > self.nmax):
             raise ValueError(f"{self.fid}: parameter n={n} out of range")
 
-    def h_pair(self, n):
-        return self.h[n % 2]
-
     def f_values(self, n):
         """The roots v_i of f for the parameter n."""
         if self.f is None:
@@ -134,7 +131,7 @@ class Family:
         idx = range(a * n + b + shift, c * n + d + shift + 1)
         if which == "lit":
             return [Fraction(i) for i in idx]
-        val = _h_of(self.h_pair(n) if which == "h" else self.g)
+        val = _h_of(self.h[n % 2] if which == "h" else self.g)
         return [val(i) for i in idx]
 
     def valid_ell(self, ell) -> bool:
@@ -168,7 +165,7 @@ class Family:
             roots = [_fp_scalar(F, v) for v in self.f_values(n)]
             keys = {loc: "inf" if loc == "inf" else _fp_scalar(F, loc)
                     for loc in specials + list(prof.get("equal_c", ()))}
-            num, den = (_fp_poly(F, c) for c in self.h_pair(n))
+            num, den = (_fp_poly(F, c) for c in self.h[n % 2])
             a2, a4, a6 = (_fp_poly(F, c) for c in self.abase)
         except ValueError:              # a denominator vanishes mod p
             return None
@@ -768,8 +765,9 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
                    max_w: int | None = None, jobs: int = 1) -> CriterionReport:
     """Run the full per-cell comparison over the (p, w) grid.
 
-    Failures are recorded in the report, never raised; a max_w below 1, an
-    ell that is not a prime >= 5 or a repeated p or ell raises ValueError.
+    Failures are recorded in the report, never raised; a max_w or jobs
+    below 1, an ell that is not a prime >= 5 or a repeated p or ell raises
+    ValueError.
     Primes that hit the family's excluded set or a mod-p degeneracy are
     listed as skipped.  With jobs > 1 the cells are analyzed by a process
     pool, each prime's ws split into up to `jobs` runs of consecutive ws,
@@ -779,6 +777,8 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
         fam = FAMILIES[fam]
     if max_w is not None and max_w < 1:
         raise ValueError(f"max_w must be at least 1, got {max_w}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     primes, ells = list(primes), list(ells)
     for ell in ells:
         if not is_prime(ell) or ell < 5:

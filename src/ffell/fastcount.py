@@ -11,14 +11,15 @@ A and B are evaluated.  Minimal models at good places use the same sum.
 Elements of F_q (q = p^d) are named by integer codes 0..q-1, the base-p
 packing of the coefficient vector; representatives, Frobenius and chi are
 tables over codes.  Arithmetic runs on discrete logarithms to a generator g:
-with n = q - 1 the element g^k has log k in [0, n), and zero has the sentinel
-log ZERO = 3n.  Multiplication adds logs; addition is one gather from the Zech
-table, log(g^i + g^j) = i + zech[j - i] with zech[k] = log(1 + g^k)
-(K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36,
-1990).  The sentinel hits at k = n/2, where g^k = -1.  Polynomials over F_p
-are evaluated by Horner's rule on logs without reducing after each step: a
-nonzero log stays below 2n and a zero one at 3n or above, so a product of
-two nonzero values is exactly a sum of logs below 3n (see eval_poly).
+with n = q - 1 the element g^k has log k in [0, n), zero has the sentinel
+log ZERO = 3n in the tables, and every log at or above ZERO reads as zero.
+Multiplication adds logs; addition is one gather from the Zech table,
+log(g^i + g^j) = i + zech[j - i] with zech[k] = log(1 + g^k) (K. Huber,
+"Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990).
+The sentinel hits at k = n/2, where g^k = -1.  A sum of two logs is read
+without reduction: a nonzero log stays below 2n and a zero one at 3n or
+above, so a product of two nonzero values is exactly a sum below 3n, and
+Horner's rule on logs reduces nothing after each step (see eval_poly).
 
 The character sums S(A, B) = sum_u chi(u^3 + A u + B) come from one table per
 field, built at first use.  Substituting u = lam v gives
@@ -125,24 +126,20 @@ class FieldTables:
         """(q, d) base-p digits of every code."""
         return np.arange(self.q)[:, None] // self.powers % self.p
 
-    # -- log-domain arithmetic (logs in [0, n) or ZERO) ---------------------
-    def _norm(self, s):
-        return np.where(s >= self.ZERO, self.ZERO, s % self.n)
-
-    def _add_logs(self, la, lb):
-        s = self._norm(la + self.zech[(lb - la) % self.n])
-        return np.where(la == self.ZERO, lb, np.where(lb == self.ZERO, la, s))
-
-    def _codes(self, la):
-        return np.where(la == self.ZERO, 0, self.exp[la % self.n])
+    # -- log-domain arithmetic (a log at or above ZERO is zero) -------------
+    def _codes(self, t):
+        """Codes of the logs t: zero at or above ZERO, else exp[t mod n]."""
+        return np.where(t >= self.ZERO, 0, self.exp[t % self.n])
 
     def add_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Field addition on code arrays (Zech logarithms)."""
-        return self._codes(self._add_logs(self.log[a], self.log[b]))
+        la, lb = self.log[a], self.log[b]
+        s = self._codes(la + self.zech[(lb - la) % self.n])
+        return np.where(la == self.ZERO, b, np.where(lb == self.ZERO, a, s))
 
     def scale_codes(self, a: np.ndarray, c: int) -> np.ndarray:
         """Multiply every code in a by the constant code c."""
-        return self._codes(self._norm(self.log[a] + self.log[c]))
+        return self._codes(self.log[a] + self.log[c])
 
     def power_codes(self, k: int) -> np.ndarray:
         """Array x -> x^k over all codes (0^0 = 1)."""
@@ -170,7 +167,7 @@ class FieldTables:
                 acc = np.where(t >= zero, lc, zech[(t - lc) % n] + lc)
             else:
                 acc = np.where(t >= zero, zero, t % n)
-        return np.where(acc >= zero, 0, self.exp[acc % n])
+        return self._codes(acc)
 
     def degree_d_representatives(self) -> np.ndarray:
         """Minimal codes of the Frobenius orbits of exact size d, ascending
@@ -230,7 +227,7 @@ class FieldTables:
         a, b = self.log[A], self.log[B]
         lam = np.where(a == zero, 0, a >> 1)
         row = np.where(a == zero, 0, 1 + (a & 1))
-        col = self._codes(np.where(b == zero, zero, (b - 3 * lam) % n))
+        col = self._codes(b + (-3 * lam) % n)
         return (1 - 2 * (lam & 1)) * self.cubic_table[row, col]
 
 
@@ -238,10 +235,9 @@ _TABLE_CACHE: dict[tuple[int, int], FieldTables] = {}
 
 
 def field_tables(p: int, d: int) -> FieldTables:
-    key = (p, d)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = FieldTables(p, d)
-    return _TABLE_CACHE[key]
+    if (p, d) not in _TABLE_CACHE:
+        _TABLE_CACHE[p, d] = FieldTables(p, d)
+    return _TABLE_CACHE[p, d]
 
 
 @contextmanager
@@ -299,8 +295,7 @@ def _traces(curve, T):
         return reps[keep], traces[keep] * chi[keep]
     p = T.p
     reps = T.degree_d_representatives()
-    A, B = curve.short_coefficients()
-    a, b = T.eval_poly(A, reps), T.eval_poly(B, reps)
+    a, b = T.eval_poly(curve.A, reps), T.eval_poly(curve.B, reps)
     la, lb = T.log[a], T.log[b]
     n, zero = T.n, T.ZERO
     keep = (np.where(la == zero, zero, (T.log[4] + 3 * la) % n)

@@ -84,21 +84,18 @@ def global_invariants(curve) -> GlobalInvariants:
     kod: dict[str, int] = {}
     for d in data:
         deg = d.place.degree
+        if d.kodaira != "I0":
+            kod[d.kodaira] = kod.get(d.kodaira, 0) + deg
         N += d.f * deg
         e_total += d.e * deg
         gamma *= d.gamma ** deg
-        for r in _prime_factors(d.lam):
-            if r >= 5:
-                lam_primes.add(r)
+        lam_primes.update(r for r in _prime_factors(d.lam) if r >= 5)
         if not d.place.is_infinite:
             B += d.b * deg
         c_E *= d.c
         epsilon *= local_root_factor(d)
     assert e_total % 12 == 0, "sum of e_x deg x must be divisible by 12"
     chi = e_total // 12
-    for d in data:
-        if d.kodaira != "I0":
-            kod[d.kodaira] = kod.get(d.kodaira, 0) + d.place.degree
     script_L = 1
     for r in sorted(lam_primes):
         script_L *= r
@@ -155,17 +152,17 @@ def lfunction(curve, invariants: GlobalInvariants | None = None,
 
     direct_upto forces the number of directly expanded coefficients (defaults
     to floor(N/2)+1, capped at N); direct_upto=N disables the functional
-    equation fill entirely.
+    equation fill entirely.  Below N it must be at least N/2, so that one
+    coefficient is computed both ways; a smaller one raises ValueError.
     """
     inv = invariants if invariants is not None else global_invariants(curve)
-    q = inv.q
-    N = inv.N
-    eps = inv.epsilon
+    q, N, eps = inv.q, inv.N, inv.epsilon
     if N == 0:
         return LFunctionPoly((1,), q, eps, 0)
     m = min(N, N // 2 + 1) if direct_upto is None else min(N, direct_upto)
-    if m < N and N - m - 1 > m:
-        raise ValueError("direct_upto too small for the functional-equation fill")
+    if m < N and 2 * m < N:
+        raise ValueError("direct_upto too small for the functional-equation "
+                         "fill: below N it must be at least N/2")
     try:                 # refuse a top degree beyond the exact tables early
         ntt_prime(q, m)
     except ValueError as exc:
@@ -186,11 +183,8 @@ def lfunction(curve, invariants: GlobalInvariants | None = None,
         assert acc % n == 0, "power-sum recurrence must divide exactly"
         L.append(acc // n)
 
-    coeffs = [None] * (N + 1)
-    for i in range(m + 1):
-        coeffs[i] = L[i]
-    for i in range(m + 1, N + 1):
-        coeffs[i] = eps * q ** (2 * i - N) * L[N - i]
+    coeffs = L + [eps * q ** (2 * i - N) * L[N - i]
+                  for i in range(m + 1, N + 1)]
     # cross-check every coefficient computed both directly and via the
     # functional equation (guards both the fill and the sign of epsilon)
     checked = 0
@@ -236,16 +230,22 @@ def _square_class_mod_rational(r: Fraction, ell: int):
     return SquareClass(legendre(num * den, ell) == -1)
 
 
+def check_ell(ell: int, inv: GlobalInvariants):
+    """Raise ValueError unless ell is a prime >= 5 prime to 6 q script_L,
+    the ells of the square-class and companion-matrix checks."""
+    if not is_prime(ell) or ell < 5 or (6 * inv.q * inv.script_L) % ell == 0:
+        raise ValueError("ell must be a prime >= 5 coprime to 6 q script_L")
+
+
 def bsd_square_class_check(curve, L: LFunctionPoly, ell: int,
                            invariants: GlobalInvariants | None = None) -> str:
     """Compare the square class of L(1/q) with that of q^{chi-1} c_E mod ell.
 
     Returns 'pass', 'fail', or 'inapplicable' (L(1/q) = 0).  Requires a prime
-    ell >= 5 not dividing 6 q script_L.
+    ell >= 5 not dividing 6 q script_L (check_ell).
     """
     inv = invariants if invariants is not None else global_invariants(curve)
-    if not is_prime(ell) or ell < 5 or (6 * inv.q * inv.script_L) % ell == 0:
-        raise ValueError("ell must be a prime >= 5 coprime to 6 q script_L")
+    check_ell(ell, inv)
     val = L.value_at_inverse_q()
     if val == 0:
         return "inapplicable"
@@ -261,8 +261,7 @@ def bsd_square_class_check(curve, L: LFunctionPoly, ell: int,
     return "pass"
 
 
-def frobenius_matrix_mod_ell(curve, ell: int,
-                             L: LFunctionPoly | None = None,
+def frobenius_matrix_mod_ell(curve, ell: int, L: LFunctionPoly,
                              invariants: GlobalInvariants | None = None
                              ) -> np.ndarray:
     """Companion matrix over F_ell of the monic normalization of L(T/q).
@@ -270,12 +269,10 @@ def frobenius_matrix_mod_ell(curve, ell: int,
     The leading coefficient of L(T/q) is epsilon, so the monic polynomial is
     epsilon * L(T/q); its reduction mod ell is realized by the standard
     companion matrix, whose characteristic polynomial is asserted pointwise.
+    ell must pass check_ell.
     """
     inv = invariants if invariants is not None else global_invariants(curve)
-    if not is_prime(ell) or ell < 5 or (6 * inv.q * inv.script_L) % ell == 0:
-        raise ValueError("ell must be a prime >= 5 coprime to 6 q script_L")
-    if L is None:
-        L = lfunction(curve, inv)
+    check_ell(ell, inv)
     N = L.degree
     qinv = pow(L.q, ell - 2, ell)
     c = [inv.epsilon * a % ell for a in L.coefficients]

@@ -9,14 +9,16 @@ degree 1), so the residue of a polynomial f is f mod pi read in that field
 
 from __future__ import annotations
 
-from .algebra import (ExtField, Poly, PrimeField, is_irreducible,
-                      monic_irreducibles)
+from .algebra import (ExtField, Poly, PrimeField, _prime_factors,
+                      is_irreducible, monic_irreducibles)
 
 
 class Place:
     """A closed point of P^1 over F_q: a monic irreducible, or infinity.
-    Its hash is taken once, at construction or unpickling, as every memo
-    keyed by a place hashes it on each lookup."""
+    Its hash is taken once, at construction, as every memo keyed by a place
+    hashes it on each lookup; it hashes only integers, p and the
+    coefficients of pi, so it is the same in every process and a pickled
+    place keeps it."""
 
     __slots__ = ("field", "pi", "degree", "_hash")
 
@@ -32,7 +34,7 @@ class Place:
                 raise ValueError("finite place polynomial must be irreducible")
             self.pi = pi
             self.degree = int(pi.degree)
-        self._hash = hash((field, self.pi))
+        self._hash = hash((field.p, pi.coeffs if pi else ()))
 
     @classmethod
     def infinity(cls, field) -> "Place":
@@ -58,14 +60,6 @@ class Place:
     def __hash__(self):
         return self._hash
 
-    def __getstate__(self):
-        return self.field, self.pi, self.degree
-
-    def __setstate__(self, state):
-        # str hashes differ between processes, so a pickled hash is stale
-        self.field, self.pi, self.degree = state
-        self._hash = hash((self.field, self.pi))
-
     def __repr__(self):
         if self.is_infinite:
             return "Place(oo)"
@@ -80,31 +74,14 @@ def residue_field(x: Place):
 
 
 def count_places(q: int, d: int) -> int:
-    """Number of finite places of degree d (necklace formula)."""
-    total = 0
-    for e in _divisors(d):
-        total += _mobius(e) * q ** (d // e)
-    return total // d
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _mobius(n):
-    if n == 1:
-        return 1
-    m, cnt, d = n, 0, 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            cnt += 1
-        d += 1
-    if m > 1:
-        cnt += 1
-    return -1 if cnt % 2 else 1
+    """Number of finite places of degree d: the necklace formula
+    (1/d) sum_{e | d} mu(e) q^(d/e), summed over the squarefree e, the
+    products of distinct prime factors of d, where mu(e) = (-1)^(number of
+    them)."""
+    mu = {1: 1}                          # squarefree e | d -> mu(e)
+    for r in set(_prime_factors(d)):
+        mu.update({e * r: -m for e, m in mu.items()})
+    return sum(m * q ** (d // e) for e, m in mu.items()) // d
 
 
 def enumerate_places(field: PrimeField, d_max: int):

@@ -244,8 +244,7 @@ def reference_local_reduce(curve: WeierstrassCurve, x: Place) -> LocalReductionD
     s = min(v // w for v, w in ((vc4, 4), (vc6, 6), (vd, 12)) if v != INF)
     a, b, d = vc4 - 4 * s, vc6 - 6 * s, vd - 12 * s
     sym, row = _classify(a, b, d)
-    A, B = curve.short_coefficients()
-    A, B = _div(A, pi, 4 * s), _div(B, pi, 6 * s)
+    A, B = _div(curve.A, pi, 4 * s), _div(curve.B, pi, 6 * s)
     K = residue_field(x)
 
     if sym == "I0":

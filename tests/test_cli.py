@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import ffell
-from ffell import fastcount
+from ffell import cli, fastcount
 from ffell.algebra import Poly, PrimeField
 from ffell.cli import main
 from ffell.families import FAMILIES, FAMILY_DECLARATIONS
@@ -45,6 +45,15 @@ def tables_fail_above(d_max):
     return tables
 
 
+def assert_unwritable_out_exits_2(runner, args, out):
+    """An --out that cannot be written is a usage error naming the path,
+    not a traceback with exit 1, which reads as a failed check."""
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"cannot write --out {out}" in res.stderr
+    assert "Traceback" not in res.output
+
+
 class TestReduce:
     def test_intro_at_one_is_III_star(self, runner, tmp_path):
         res = runner.invoke(main, ["reduce", intro_curve_file(tmp_path),
@@ -71,6 +80,24 @@ class TestReduce:
         bad.write_text("nonsense\n")
         res = runner.invoke(main, ["reduce", str(bad), "--place", "1"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("line,message", [
+        ("p=x", "bad prime 'x'"),
+        ("p=9", "p=9 is not a prime >= 5"),
+        ("a2=1", "a2 must be a list"),
+        ("a2=[1.5]", "non-integer coefficient in a2")])
+    def test_bad_value_exits_2(self, runner, tmp_path, line, message):
+        path = intro_curve_file(tmp_path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        key = line.partition("=")[0]
+        with open(path, "w") as fh:
+            fh.write("\n".join(line if ln.startswith(key + "=") else ln
+                               for ln in lines) + "\n")
+        res = runner.invoke(main, ["reduce", path, "--place", "1"])
+        assert res.exit_code == 2
+        assert message in res.stderr
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("extra,message", [
         ("a1=[1]", "unknown key 'a1'"),
@@ -128,6 +155,11 @@ class TestReduce:
                                    "--place", "zzz"])
         assert res.exit_code == 2
 
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        assert_unwritable_out_exits_2(
+            runner, ["reduce", intro_curve_file(tmp_path), "--place", "1"],
+            tmp_path)
+
 
 class TestLFunction:
     def test_golden_polynomial(self, runner, tmp_path):
@@ -150,6 +182,21 @@ class TestLFunction:
         res = runner.invoke(main, ["lfunction", "--ell", "5",
                                    intro_curve_file(tmp_path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("ell", ["9", "5"])
+    def test_bad_ell_refused_before_L(self, runner, tmp_path, monkeypatch,
+                                      ell):
+        # 9 is no prime, and 5 = q divides 6 q script_L at p = 5: both are
+        # refused after the invariants, before the costly L-polynomial
+        def no_lfunction(*args, **kwargs):
+            raise AssertionError("L computed for a refused ell")
+
+        monkeypatch.setattr(cli, "lfunction", no_lfunction)
+        res = runner.invoke(main, ["lfunction", "--ell", ell,
+                                   intro_curve_file(tmp_path)])
+        assert res.exit_code == 2
+        assert "ell must be a prime >= 5" in res.stderr
+        assert "N = " not in res.stderr and res.stdout == ""
 
     def test_repeated_ell_exits_2(self, runner, tmp_path):
         # accepted, it would run and print the check at ell = 11 twice
@@ -184,6 +231,11 @@ class TestLFunction:
                                    intro_curve_file(tmp_path)])
         assert res.exit_code == 0
         assert json.loads(out.read_text())["invariants"]["N"] == 5
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        assert_unwritable_out_exits_2(
+            runner, ["lfunction", intro_curve_file(tmp_path)],
+            tmp_path / "none" / "L.json")
 
 
 class TestVerifyFamily:
@@ -293,6 +345,20 @@ class TestVerifyFamily:
         assert message in res.stderr
         assert res.stdout == ""
 
+    def test_bad_prime_list_exits_2(self, runner):
+        res = runner.invoke(main, ["verify-family", "intro_N5", "--primes",
+                                   "5,x", "--jobs", "1"])
+        assert res.exit_code == 2
+        assert "expected a comma-separated integer list, got '5,x'" \
+            in res.stderr
+        assert res.stdout == ""
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        assert_unwritable_out_exits_2(
+            runner, ["verify-family", "intro_N5", "--primes", "5",
+                     "--max-w", "1", "--jobs", "1"],
+            tmp_path / "none" / "report.json")
+
     def test_deterministic_json(self, runner):
         args = ["verify-family", "even_4mod8", "--n", "1", "--primes", "11",
                 "--max-w", "2", "--jobs", "1"]
@@ -340,6 +406,10 @@ class TestLemma92:
         assert res.exit_code == 2
         assert "--ell-max" in res.stderr
         assert res.stdout == ""
+
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        assert_unwritable_out_exits_2(runner, ["lemma92", "--ell", "5"],
+                                      tmp_path)
 
     def test_ell_beyond_int64_exits_2(self, runner):
         # a prime above 2^32: int64 matrix powers mod ell would overflow

@@ -48,7 +48,7 @@ class TestRegistry:
             for n in (fam.nmin, fam.nmin + 1):
                 if fam.nmax is not None and n > fam.nmax:
                     continue
-                num, den = fam.h_pair(n)
+                num, den = fam.h[n % 2]
                 assert len(num) - 1 <= 4 and len(den) - 1 <= 4, fid
 
     def test_n_out_of_range(self):
@@ -185,6 +185,12 @@ class TestVerifyProfile:
     def test_nonpositive_max_w_rejected(self, max_w):
         with pytest.raises(ValueError, match="max_w"):
             verify_profile("intro_N5", 0, [13], max_w=max_w)
+
+    @pytest.mark.parametrize("jobs", [-1, 0])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        # 0 divided by zero, and -1 returned a report of no cells
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            verify_profile("intro_N5", 0, [13], jobs=jobs)
 
     @pytest.mark.parametrize("primes,ells,match", [
         ([17, 17], (5, 7), "p=17 is repeated"),
@@ -435,6 +441,34 @@ class TestFamilyFiles:
                                            "[0, 0, -3] / [1/0]"))
         with pytest.raises(ValueError):
             load_family_file(path)
+
+    @pytest.mark.parametrize("fid,old,new,match", [
+        ("odd_1mod8", "h = [0, 1] / [1]", "h = [0, 1] [1]",
+         "expected \\[num\\] / \\[den\\]"),
+        ("odd_1mod8", "place 0 = {I2} {2}", "place 0 = I2",
+         "expected sets like"),
+        ("odd_1mod8", "place 0 = {I2} {2}", "place 0 = {I2, V} {2}",
+         "place 0: expected {Kodaira symbols}"),
+        ("even_6mod8", "eps = (-1)", "eps = (-1 k)", "bad factor 'k'"),
+        ("odd_1mod8", "c_I0star = {4}", "c_I0star = {1} {2}",
+         "c_I0star: expected one set"),
+        ("even_0mod8", "c_E_power_of = 4", "c_E_power_of = 1",
+         "c_E_power_of must be at least 2"),
+        ("even_6mod8", "equal_c = 0, inf", "equal_c = 0",
+         "equal_c takes two locations"),
+        ("intro_N5", "waive = yes", "waive = maybe",
+         "waive must be yes or no")])
+    def test_bad_value_rejected(self, fid, old, new, match):
+        with pytest.raises(ValueError, match=match):
+            variant(fid, old, new)
+
+    def test_two_families_in_one_file_rejected(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(declaration("odd_1mod8") + declaration("even_4mod8"))
+        res = CliRunner().invoke(main, ["verify-family", str(path),
+                                        "--primes", "11", "--jobs", "1"])
+        assert res.exit_code == 2
+        assert "declares one family, not 2" in res.stderr
 
     def test_parity_variant_only_where_allowed(self):
         with pytest.raises(ValueError):

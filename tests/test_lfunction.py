@@ -74,6 +74,18 @@ class TestLFunction:
         with pytest.raises(ValueError):
             lfunction(E, direct_upto=1)
 
+    @pytest.mark.parametrize("p,m", [(5, 2), (7, 3)])
+    def test_direct_upto_without_overlap_rejected(self, p, m):
+        # at odd N, direct_upto = (N - 1)/2 fills every other coefficient
+        # but computes none both ways: refused, no longer an assertion
+        E = intro_Em(p, m)
+        inv = global_invariants(E)
+        assert inv.N % 2 == 1
+        with pytest.raises(ValueError, match="at least N/2"):
+            lfunction(E, inv, direct_upto=(inv.N - 1) // 2)
+        assert (lfunction(E, inv, direct_upto=(inv.N + 1) // 2).coefficients
+                == lfunction(E, inv).coefficients)
+
     def test_frontier_odd_1mod8_p11(self):
         # N = 9 at p = 11: the top degree sums over F_{11^5}; the kernel
         # that summed place by place gave these in 34 s

@@ -99,8 +99,9 @@ class TestEnumeratePlaces:
         assert len(ps) == len(set(ps))
 
     def test_pickled_in_another_process_hashes_here(self):
-        # a place stores its hash, and str hashes differ between processes:
-        # a place pickled under another hash seed must hash as one built here
+        # a place stores its hash, taken of integers alone, which no hash
+        # seed changes: a place pickled under another hash seed must hash
+        # as one built here
         code = ("import pickle, sys; from ffell.algebra import PrimeField; "
                 "from ffell.places import enumerate_places; "
                 "sys.stdout.buffer.write(pickle.dumps("
