@@ -17,6 +17,7 @@ the overlap coefficients (computed both ways) are cross-checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,16 +90,14 @@ def global_invariants(curve) -> GlobalInvariants:
         N += d.f * deg
         e_total += d.e * deg
         gamma *= d.gamma ** deg
-        lam_primes.update(r for r in _prime_factors(d.lam) if r >= 5)
+        lam_primes.update(_prime_factors(d.lam))
         if not d.place.is_infinite:
             B += d.b * deg
         c_E *= d.c
         epsilon *= local_root_factor(d)
     assert e_total % 12 == 0, "sum of e_x deg x must be divisible by 12"
     chi = e_total // 12
-    script_L = 1
-    for r in sorted(lam_primes):
-        script_L *= r
+    script_L = math.prod(lam_primes - {2, 3})
     assert N >= 0 and epsilon in (1, -1)
     return GlobalInvariants(N=N, chi=chi, gamma=gamma, script_L=script_L,
                             B=B, c_E=c_E, epsilon=epsilon, kod=kod,
