@@ -50,6 +50,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(n: int, name: str = "p") -> int:
+    """n when it is a prime >= 5 (a characteristic p or a prime ell of
+    the square-class checks), else ValueError naming it."""
+    if n < 5 or not is_prime(n):
+        raise ValueError(f"{name}={n} is not a prime >= 5")
+    return n
+
+
 def legendre(a: int, p: int) -> int:
     """The Legendre symbol (a/p), p an odd prime, by Euler's criterion: 1 for
     nonzero squares, -1 for nonsquares, 0 at 0."""
@@ -58,14 +66,10 @@ def legendre(a: int, p: int) -> int:
 
 
 class PrimeField:
-    """F_p for an odd prime p not in {2, 3}."""
+    """F_p for a prime p >= 5."""
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p in (2, 3):
-            raise ValueError("characteristic 2 and 3 are not supported")
-        self.p = p
+        self.p = check_prime(p)
         self.order = p
         self.degree = 1
 
@@ -265,27 +269,12 @@ class ExtField:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in F_p[z]
-        p = self.base.p
-        r0, r1 = list(self.modulus), _strip(a)
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _poly_divmod(p, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(p, s0, _poly_mul(p, q, s1))
-        inv_lead = pow(r0[-1], p - 2, p)
-        return self._make([c * inv_lead for c in s0])
+        return self.pow(a, self.order - 2)
 
     def pow(self, a, e):
         if e < 0:
             a, e = self.inv(a), -e
-        r = self.one_raw
-        while e > 0:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return self._make(_poly_powmod(self.base.p, a, e, self.modulus))
 
     def legendre_raw(self, a) -> int:
         if self.is_zero(a):

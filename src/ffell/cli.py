@@ -1,16 +1,17 @@
 """Command-line front end: local reduction, L-functions, family
 verification, and the excluded-order certification sweep.
 
-Exit codes: 0 = all checks pass, 1 = a mathematical check failed,
-2 = usage or parse error (an --ell that is not a prime >= 5, a prime
-repeated in an --ell or --primes list, a lemma92 --ell-max below 5, a
-curve-file key other than p, a2, a4, a6 or one given twice, an --out
-that cannot be written), a field beyond the character-sum tables or one
-whose tables ran out of memory in `reduce` or `lfunction` (the message
-names p, the degree and q), or a verify-family grid with every prime
-skipped (nothing verified).  All commands are deterministic; JSON is the
-machine interface (written to --out when given, printed otherwise) and a
-short human-readable summary goes to the terminal alongside.
+Exit codes: 0 = all checks pass, 1 = a mathematical check failed, 2 = usage
+or parse error (a curve-file p or an --ell that is not a prime >= 5, an
+lfunction --ell dividing q script_L, a prime repeated in an --ell or
+--primes list, a lemma92 --ell-max below 5, a curve-file key other than p,
+a2, a4, a6 or one given twice, an --out that cannot be written, refused
+before any work if it is a directory or its directory is missing or not
+writable), a field beyond the character-sum tables or one whose tables ran
+out of memory in `reduce` or `lfunction` (the message names p, the degree
+and q), or a verify-family grid with every prime skipped (nothing verified).
+All commands are deterministic; JSON is the machine interface (written to
+--out when given, printed otherwise) and a short summary goes to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 import click
 
-from .algebra import Poly, PrimeField, is_prime
+from .algebra import Poly, PrimeField, check_prime, is_prime
 from .curves import WeierstrassCurve
 from .lfunction import (bsd_square_class_check, check_ell,
                         check_functional_equation, frobenius_matrix_mod_ell,
@@ -80,8 +81,6 @@ def load_curve_file(path):
         p = int(kv["p"])
     except ValueError:
         raise click.UsageError(f"bad prime {kv['p']!r}")
-    if not is_prime(p) or p < 5:
-        raise click.UsageError(f"p={p} is not a prime >= 5")
 
     def coeffs(key):
         s = kv[key]
@@ -114,6 +113,23 @@ def _parse_place(curve, spec):
         raise click.UsageError(f"bad place spec {spec!r}: {exc}")
 
 
+def _check_out(ctx, param, out):
+    """Refuse before any work, creating nothing, an --out that is a
+    directory or whose directory is missing or not writable."""
+    if out:
+        folder = os.path.dirname(os.path.abspath(out))
+        reason = ("Is a directory" if os.path.isdir(out) else
+                  "No such file or directory" if not os.path.isdir(folder)
+                  else "Permission denied" if not os.access(folder, os.W_OK)
+                  else None)
+        if reason:
+            raise click.UsageError(f"cannot write --out {out}: {reason}")
+    return out
+
+
+out_option = click.option("--out", type=click.Path(), callback=_check_out)
+
+
 def _emit(payload, out):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
@@ -138,7 +154,7 @@ def main():
 @click.option("--place", required=True,
               help="'inf', an integer a (the place t - a), or monic "
                    "ascending coefficients 'c0,c1,...,1'.")
-@click.option("--out", type=click.Path(), default=None)
+@out_option
 def reduce(curve_file, place, out):
     """Kodaira symbol and local invariants of a curve at one place."""
     E = load_curve_file(curve_file)
@@ -158,7 +174,7 @@ def reduce(curve_file, place, out):
 @click.option("--ell", "ells", default="",
               help="Comma-separated primes for the special-value "
                    "square-class checks.")
-@click.option("--out", type=click.Path(), default=None)
+@out_option
 @click.argument("curve_file", type=click.Path())
 def lfunction_cmd(curve_file, check_fe, ells, out):
     """Global invariants and the exact L-polynomial of a curve."""
@@ -208,7 +224,7 @@ def lfunction_cmd(curve_file, check_fe, ells, out):
               help="Cap the number of twist parameters per prime.")
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="Worker processes (default: all cores).")
-@click.option("--out", type=click.Path(), default=None)
+@out_option
 def verify_family(family, n, primes, ells, max_w, jobs, out):
     """Check a family's expected profile over a (p, w) grid."""
     # imported here: loading it parses every built-in family declaration
@@ -280,16 +296,17 @@ def _witnesses():
               help="Certify every prime ell with 5 <= ell <= ell-max.")
 @click.option("--ell", "ells", default="",
               help="Explicit comma-separated list instead of a sweep.")
-@click.option("--out", type=click.Path(), default=None)
+@out_option
 def lemma92(ell_max, ells, out):
     """Certify that no Frobenius companion matrix has order dividing any
     e in {16, 20, 24, 28, 36}, for each ell, using the two witness twists."""
     exponents = {16, 20, 24, 28, 36}
     targets = (_parse_int_list(ells, "ell") if ells
                else [q for q in range(5, ell_max + 1) if is_prime(q)])
-    for q in targets:
-        if not is_prime(q) or q < 5:
-            raise click.UsageError(f"ell={q} is not a prime >= 5")
+    try:
+        targets = [check_prime(q, "ell") for q in targets]
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     witnesses = [(name, p, E, global_invariants(E)) for name, p, E
                  in _witnesses()]
     cache = {}

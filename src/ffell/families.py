@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Poly, PrimeField, is_prime, legendre
+from .algebra import Poly, PrimeField, check_prime, is_prime, legendre
 from .curves import WeierstrassCurve
 from .lfunction import global_invariants
 
@@ -779,10 +779,8 @@ def verify_profile(fam, n: int, primes, ells=(5, 7, 11, 13, 17, 19, 23),
         raise ValueError(f"max_w must be at least 1, got {max_w}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    primes, ells = list(primes), list(ells)
-    for ell in ells:
-        if not is_prime(ell) or ell < 5:
-            raise ValueError(f"ell={ell} is not a prime >= 5")
+    primes = list(primes)
+    ells = [check_prime(ell, "ell") for ell in ells]
     for name, values in (("p", primes), ("ell", ells)):
         for i, v in enumerate(values):
             if v in values[:i]:

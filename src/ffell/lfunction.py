@@ -23,10 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (Poly, SquareClass, _prime_factors, factor, is_prime,
-                      legendre)
+from .algebra import _prime_factors, check_prime, factor
 from .fastcount import batch_traces, ntt_prime
-from .orthogonal import det_mod
+from .orthogonal import det_mod, square_class_mod
 from .places import Place
 from .reduction import local_reduce, local_root_factor
 
@@ -182,19 +181,13 @@ def lfunction(curve, invariants: GlobalInvariants | None = None,
         assert acc % n == 0, "power-sum recurrence must divide exactly"
         L.append(acc // n)
 
-    coeffs = L + [eps * q ** (2 * i - N) * L[N - i]
-                  for i in range(m + 1, N + 1)]
-    # cross-check every coefficient computed both directly and via the
-    # functional equation (guards both the fill and the sign of epsilon)
-    checked = 0
-    for i in range(min(m, N // 2) + 1):
-        j = N - i
-        if j <= m:
-            assert L[j] == eps * q ** (N - 2 * i) * L[i], (
-                "functional-equation overlap mismatch at index %d" % j)
-            checked += 1
-    assert m == N or checked > 0, "no redundant coefficient was verified"
-    return LFunctionPoly(tuple(coeffs), q, eps, m)
+    out = LFunctionPoly(tuple(L + [eps * q ** (2 * i - N) * L[N - i]
+                                   for i in range(m + 1, N + 1)]), q, eps, m)
+    # the filled coefficients hold by construction: this checks those
+    # computed both directly and through the equation (and so epsilon)
+    ok, j = check_functional_equation(out)
+    assert ok, "functional-equation overlap mismatch at index %d" % j
+    return out
 
 
 def check_functional_equation(L: LFunctionPoly):
@@ -214,26 +207,23 @@ def check_functional_equation(L: LFunctionPoly):
 
 
 def _square_class_mod_rational(r: Fraction, ell: int):
-    """Square class mod ell of a positive rational, stripping even powers of
-    ell; returns None when the ell-adic valuation is odd (no class)."""
-    num, den = r.numerator, r.denominator
-    v = 0
-    while num % ell == 0:
-        num //= ell
+    """Square class mod ell of a positive rational a/b in lowest terms, as
+    that of a b (the same ell-adic valuation parity) with even powers of
+    ell stripped; None when the valuation is odd (no class)."""
+    n, v = r.numerator * r.denominator, 0
+    while n % ell == 0:
+        n //= ell
         v += 1
-    while den % ell == 0:
-        den //= ell
-        v -= 1
-    if v % 2:
-        return None
-    return SquareClass(legendre(num * den, ell) == -1)
+    return None if v % 2 else square_class_mod(n, ell)
 
 
 def check_ell(ell: int, inv: GlobalInvariants):
-    """Raise ValueError unless ell is a prime >= 5 prime to 6 q script_L,
-    the ells of the square-class and companion-matrix checks."""
-    if not is_prime(ell) or ell < 5 or (6 * inv.q * inv.script_L) % ell == 0:
-        raise ValueError("ell must be a prime >= 5 coprime to 6 q script_L")
+    """Raise ValueError unless ell, an ell of the square-class and
+    companion-matrix checks, is a prime >= 5 prime to q script_L."""
+    check_prime(ell, "ell")
+    if (inv.q * inv.script_L) % ell == 0:
+        raise ValueError(f"ell={ell} divides q script_L = "
+                         f"{inv.q * inv.script_L}")
 
 
 def bsd_square_class_check(curve, L: LFunctionPoly, ell: int,

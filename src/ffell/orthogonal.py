@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import SquareClass, is_prime, legendre
+from .algebra import SquareClass, check_prime, legendre
 
 
 def _as_mod_array(entries, ell: int) -> np.ndarray:
@@ -70,9 +70,7 @@ class OrthogonalSpace:
     products are exact while dim (ell-1)^2 < 2^63, and larger ell raises."""
 
     def __init__(self, ell: int, gram):
-        if not is_prime(ell) or ell < 5:
-            raise ValueError("ell must be a prime >= 5")
-        self.ell = ell
+        self.ell = check_prime(ell, "ell")
         G = _as_mod_array(gram, ell)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError("gram matrix must be square")

@@ -223,6 +223,9 @@ class TestExtension:
     def test_prime_degree_one(self):
         assert build_extension(5, 1) is not None
         assert build_extension(5, 1).order == 5
+        for p in (9, 3):
+            with pytest.raises(ValueError, match=f"^p={p} is not a prime"):
+                PrimeField(p)
 
     def test_frobenius_identity_25(self):
         K = build_extension(5, 2)
@@ -237,11 +240,24 @@ class TestExtension:
         x = K.decode(rng.randrange(1, 343))
         assert K.pow(x, 342) == K.one_raw
 
-    def test_inverse(self):
-        K = build_extension(11, 2)
-        for n in range(1, 50):
+    @pytest.mark.parametrize("p,d", [(5, 2), (7, 3), (11, 2)],
+                             ids=["F_25", "F_343", "F_121"])
+    def test_inverse(self, p, d):
+        K = build_extension(p, d)
+        zero, one = K.zero_raw, K.one_raw
+        for n in range(1, min(K.order, 50)):
             x = K.decode(n)
-            assert K.mul(x, K.inv(x)) == K.one_raw
+            assert K.mul(x, K.inv(x)) == one
+            assert K.pow(x, 0) == one
+            power = one
+            for k in range(1, 6):          # against repeated products
+                power = K.mul(power, x)
+                assert K.pow(x, k) == power
+                assert K.pow(x, -k) == K.inv(power)
+        for e in (1, 2, K.order - 1):
+            assert K.pow(zero, e) == zero
+        with pytest.raises(ZeroDivisionError):
+            K.inv(zero)
 
     def test_deterministic(self):
         assert build_extension(13, 4).modulus == build_extension(13, 4).modulus

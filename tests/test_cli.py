@@ -54,6 +54,16 @@ def assert_unwritable_out_exits_2(runner, args, out):
     assert "Traceback" not in res.output
 
 
+def assert_out_refused_before_work(runner, monkeypatch, work, args, out):
+    """The same refusal, before the work: work, the dotted name of the
+    command's costly step, raises if it runs."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for an --out that cannot be written")
+
+    monkeypatch.setattr(work, no_work)
+    assert_unwritable_out_exits_2(runner, args, out)
+
+
 class TestReduce:
     def test_intro_at_one_is_III_star(self, runner, tmp_path):
         res = runner.invoke(main, ["reduce", intro_curve_file(tmp_path),
@@ -84,6 +94,7 @@ class TestReduce:
     @pytest.mark.parametrize("line,message", [
         ("p=x", "bad prime 'x'"),
         ("p=9", "p=9 is not a prime >= 5"),
+        ("p=3", "invalid curve: p=3 is not a prime >= 5"),
         ("a2=1", "a2 must be a list"),
         ("a2=[1.5]", "non-integer coefficient in a2")])
     def test_bad_value_exits_2(self, runner, tmp_path, line, message):
@@ -160,6 +171,14 @@ class TestReduce:
             runner, ["reduce", intro_curve_file(tmp_path), "--place", "1"],
             tmp_path)
 
+    def test_unwritable_out_refused_before_work(self, runner, tmp_path,
+                                                monkeypatch):
+        assert_out_refused_before_work(
+            runner, monkeypatch, "ffell.cli.local_reduce",
+            ["reduce", intro_curve_file(tmp_path), "--place", "1"],
+            tmp_path / "none" / "r.json")
+        assert not (tmp_path / "none").exists()
+
 
 class TestLFunction:
     def test_golden_polynomial(self, runner, tmp_path):
@@ -186,7 +205,7 @@ class TestLFunction:
     @pytest.mark.parametrize("ell", ["9", "5"])
     def test_bad_ell_refused_before_L(self, runner, tmp_path, monkeypatch,
                                       ell):
-        # 9 is no prime, and 5 = q divides 6 q script_L at p = 5: both are
+        # 9 is no prime, and 5 = q divides q script_L at p = 5: both are
         # refused after the invariants, before the costly L-polynomial
         def no_lfunction(*args, **kwargs):
             raise AssertionError("L computed for a refused ell")
@@ -195,7 +214,8 @@ class TestLFunction:
         res = runner.invoke(main, ["lfunction", "--ell", ell,
                                    intro_curve_file(tmp_path)])
         assert res.exit_code == 2
-        assert "ell must be a prime >= 5" in res.stderr
+        assert {"9": "ell=9 is not a prime >= 5",
+                "5": "ell=5 divides q script_L = 5"}[ell] in res.stderr
         assert "N = " not in res.stderr and res.stdout == ""
 
     def test_repeated_ell_exits_2(self, runner, tmp_path):
@@ -236,6 +256,12 @@ class TestLFunction:
         assert_unwritable_out_exits_2(
             runner, ["lfunction", intro_curve_file(tmp_path)],
             tmp_path / "none" / "L.json")
+
+    def test_unwritable_out_refused_before_work(self, runner, tmp_path,
+                                                monkeypatch):
+        assert_out_refused_before_work(
+            runner, monkeypatch, "ffell.cli.lfunction",
+            ["lfunction", intro_curve_file(tmp_path)], tmp_path)
 
 
 class TestVerifyFamily:
@@ -359,6 +385,13 @@ class TestVerifyFamily:
                      "--max-w", "1", "--jobs", "1"],
             tmp_path / "none" / "report.json")
 
+    def test_unwritable_out_refused_before_work(self, runner, tmp_path,
+                                                monkeypatch):
+        assert_out_refused_before_work(
+            runner, monkeypatch, "ffell.families.verify_profile",
+            ["verify-family", "intro_N5", "--primes", "5", "--jobs", "1"],
+            tmp_path / "none" / "report.json")
+
     def test_deterministic_json(self, runner):
         args = ["verify-family", "even_4mod8", "--n", "1", "--primes", "11",
                 "--max-w", "2", "--jobs", "1"]
@@ -389,8 +422,10 @@ class TestLemma92:
         assert all(r["certified"] for r in rec["results"])
 
     def test_bad_ell_exits_2(self, runner):
-        res = runner.invoke(main, ["lemma92", "--ell", "4"])
-        assert res.exit_code == 2
+        for ell in ("4", "9"):
+            res = runner.invoke(main, ["lemma92", "--ell", ell])
+            assert res.exit_code == 2
+            assert f"ell={ell} is not a prime >= 5" in res.stderr
 
     def test_repeated_ell_exits_2(self, runner):
         # accepted, it would certify and print ell = 5 twice
@@ -410,6 +445,12 @@ class TestLemma92:
     def test_unwritable_out_exits_2(self, runner, tmp_path):
         assert_unwritable_out_exits_2(runner, ["lemma92", "--ell", "5"],
                                       tmp_path)
+
+    def test_unwritable_out_refused_before_work(self, runner, tmp_path,
+                                                monkeypatch):
+        assert_out_refused_before_work(
+            runner, monkeypatch, "ffell.cli.global_invariants",
+            ["lemma92", "--ell", "5"], tmp_path / "none" / "lemma92.json")
 
     def test_ell_beyond_int64_exits_2(self, runner):
         # a prime above 2^32: int64 matrix powers mod ell would overflow

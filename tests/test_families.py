@@ -195,7 +195,8 @@ class TestVerifyProfile:
     @pytest.mark.parametrize("primes,ells,match", [
         ([17, 17], (5, 7), "p=17 is repeated"),
         ([11, 17, 11], (5,), "p=11 is repeated"),
-        ([17], (5, 7, 5), "ell=5 is repeated")])
+        ([17], (5, 7, 5), "ell=5 is repeated"),
+        ([17], (5, 9), "ell=9 is not a prime >= 5")])
     def test_repeated_prime_rejected(self, primes, ells, match):
         # accepted, [17, 17] would report each of the 11 (p, w) cells
         # twice

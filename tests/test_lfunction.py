@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ from ffell import fastcount
 from ffell.algebra import Poly, PrimeField, legendre
 from ffell.curves import WeierstrassCurve
 from ffell.families import FAMILIES
+from ffell.fastcount import batch_traces
 from ffell.lfunction import (GlobalInvariants, LFunctionPoly,
-                             bsd_square_class_check, check_functional_equation,
+                             bsd_square_class_check, check_ell,
+                             check_functional_equation,
                              frobenius_matrix_mod_ell, global_invariants,
                              lfunction)
 from ffell.orthogonal import order_excludes
@@ -128,6 +131,47 @@ class TestFunctionalEquation:
         assert not ok and idx == 4
 
 
+# (family, n, p, w): small members with N < 2m, so with an overlap
+SMALL_MEMBERS = [("intro_N5", 0, 5, 2), ("intro_N5", 0, 7, 3),
+                 ("odd_1mod8", 1, 7, 6), ("case2_3ns", 2, 5, 2)]
+
+
+class TestOverlapCheck:
+    """lfunction's overlap check, the coefficients it computes both
+    directly and through the functional equation, is the one check of
+    epsilon together with the top-degree character sums."""
+
+    @pytest.mark.parametrize("fid,n,p,w", SMALL_MEMBERS)
+    def test_top_degree_trace_error_caught(self, monkeypatch, fid, n, p, w):
+        E = FAMILIES[fid].instantiate(p, n, w)
+        inv = global_invariants(E)
+        m = lfunction(E, inv).direct_upto
+        assert m < inv.N
+
+        def one_trace_off(curve, d):      # a copy: the memo stays intact
+            reps, traces = batch_traces(curve, d)
+            if d == m:
+                traces = traces.copy()
+                traces[0] += 1
+            return reps, traces
+
+        monkeypatch.setattr("ffell.lfunction.batch_traces", one_trace_off)
+        with pytest.raises(AssertionError,
+                           match=f"overlap mismatch at index {m}$"):
+            lfunction(E, inv)
+
+    @pytest.mark.parametrize("fid,n,p,w", SMALL_MEMBERS)
+    def test_wrong_epsilon_caught(self, fid, n, p, w):
+        E = FAMILIES[fid].instantiate(p, n, w)
+        inv = global_invariants(E)
+        L = lfunction(E, inv)
+        N, m, a = L.degree, L.direct_upto, L.coefficients
+        assert any(a[N - i] for i in range(N // 2 + 1) if N - i <= m)
+        with pytest.raises(AssertionError, match="overlap mismatch"):
+            lfunction(E, dataclasses.replace(inv, epsilon=-inv.epsilon))
+        assert lfunction(E, inv).coefficients == a
+
+
 class TestBSD:
     def test_zero_value_inapplicable(self):
         E = intro_Em(5, 2)
@@ -152,11 +196,14 @@ class TestBSD:
 
     def test_bad_ell_rejected(self):
         E = intro_Em(5, 3)
-        L = lfunction(E)
+        inv = global_invariants(E)
+        L = lfunction(E, inv)
         with pytest.raises(ValueError):
             bsd_square_class_check(E, L, 5)  # ell = q
         with pytest.raises(ValueError):
             bsd_square_class_check(E, L, 3)  # divides 6
+        with pytest.raises(ValueError, match="^ell=9 is not a prime >= 5$"):
+            check_ell(9, inv)
 
 
 class TestCompanion:

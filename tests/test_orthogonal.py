@@ -75,6 +75,8 @@ class TestSpace:
             OrthogonalSpace(7, [[1, 2], [2, 4]])  # degenerate
         with pytest.raises(ValueError):
             OrthogonalSpace(4, np.eye(2, dtype=int))  # ell not prime
+        with pytest.raises(ValueError, match="^ell=9 is not a prime >= 5$"):
+            OrthogonalSpace(9, np.eye(2, dtype=int))
 
     def test_rejects_non_orthogonal_matrix(self):
         sp = OrthogonalSpace.standard(7, 3)
