@@ -119,7 +119,7 @@ def _check_out(ctx, param, out):
     if out:
         folder = os.path.dirname(os.path.abspath(out))
         reason = ("Is a directory" if os.path.isdir(out) else
-                  "No such file or directory" if not os.path.isdir(folder)
+                  "No such directory" if not os.path.isdir(folder)
                   else "Permission denied" if not os.access(folder, os.W_OK)
                   else None)
         if reason:
